@@ -601,34 +601,7 @@ let pgo_cmd benchmark file freq seed blacklist engine budget train profile gate
 (* Compare: the perf-regression gate. Nonzero exit on any regression
    beyond the per-metric thresholds (or structural mismatch), so CI
    can gate on `swapram_cli compare bench/baseline.json report.json`. *)
-let read_json_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> (
-      match Observe.Json.parse contents with
-      | Ok j -> Ok j
-      | Error e -> Error (Printf.sprintf "%s: %s" path e))
-
-let compare_cmd old_path new_path threshold identical =
-  if identical then (
-    (* telemetry-purity gate: after stripping host-wall-clock keys the
-       two reports must agree byte for byte — no thresholds *)
-    let* old_json = read_json_file old_path in
-    let* new_json = read_json_file new_path in
-    let view j =
-      Observe.Json.to_string (Experiments.Bench_report.deterministic_view j)
-    in
-    if view old_json = view new_json then begin
-      Printf.printf
-        "identical    : OK (deterministic views agree byte for byte)\n";
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          "reports differ beyond wall-clock fields: simulated results are \
-           not byte-identical" ))
-  else
+let compare_cmd old_path new_path threshold =
   let thresholds =
     match threshold with
     | None -> Experiments.Compare.default_thresholds
@@ -792,7 +765,7 @@ let record_cmd benchmark file system placement freq seed blacklist out
             l.Replay.Engine.events l.Replay.Engine.bytes;
           Printf.printf "fingerprint  : %d\n"
             l.Replay.Engine.header.Replay.Trace_file.fingerprint;
-          match Experiments.Replay_sweep.verify_exact l r with
+          match Experiments.Toolchain.replay_mismatches l r with
           | [] ->
               Printf.printf
                 "self-check   : OK — trace replays the recording exactly\n";
@@ -804,8 +777,21 @@ let trace_pos_arg =
   let doc = "Recorded trace file (from the record command)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
 
+(* MRC-style budget ladder around the 4 KiB SRAM of the reference
+   part: half the paper's sweep range below it, hypothetical larger
+   SRAMs above. One trace load amortizes across the whole grid. *)
+let replay_default_budgets =
+  [ 512; 768; 1024; 1536; 2048; 2560; 3072; 4096; 5120; 6144; 8192; 12288 ]
+
+let replay_default_policies =
+  [ Replay.Engine.Lru; Replay.Engine.Lfu; Replay.Engine.Cost_aware ]
+
 let replay_budget_arg =
-  let doc = "Cache budget in bytes to simulate (repeatable; default 1024, 2048 and 4096)." in
+  let doc =
+    Printf.sprintf
+      "Cache budget in bytes to simulate (repeatable; default %s)."
+      (String.concat ", " (List.map string_of_int replay_default_budgets))
+  in
   Arg.(value & opt_all int [] & info [ "budget" ] ~doc)
 
 let policy_arg =
@@ -890,7 +876,7 @@ let check_against_execution l =
           (false, "check re-execution did not halt: "
                   ^ Experiments.Report.outcome_cell o)
     | Experiments.Toolchain.Completed res -> (
-        match Experiments.Replay_sweep.verify_exact l res with
+        match Experiments.Toolchain.replay_mismatches l res with
         | [] ->
             Printf.printf
               "check        : OK — replay reproduces a fresh execution \
@@ -902,10 +888,10 @@ let check_against_execution l =
                 "replay diverges from execution: "
                 ^ String.concat "; " mismatches ))
 
-let replay_cmd trace budgets policies block check freq jobs telemetry =
+let replay_cmd trace budgets policies block check freq telemetry =
   let* policies =
     match policies with
-    | [] -> Ok Experiments.Replay_sweep.default_policies
+    | [] -> Ok replay_default_policies
     | names ->
         let rec go acc = function
           | [] -> Ok (List.rev acc)
@@ -916,15 +902,9 @@ let replay_cmd trace budgets policies block check freq jobs telemetry =
         in
         go [] names
   in
-  let budgets =
-    if budgets = [] then Experiments.Replay_sweep.default_budgets else budgets
-  in
+  let budgets = if budgets = [] then replay_default_budgets else budgets in
   with_telemetry ~command:"replay" telemetry
-    ~fields:
-      [
-        ("trace", Observe.Json.String trace);
-        ("jobs", Observe.Json.Int (resolve_jobs jobs));
-      ]
+    ~fields:[ ("trace", Observe.Json.String trace) ]
   @@ fun () ->
   match Replay.Engine.load trace with
   | Error e -> `Error (false, trace ^ ": " ^ Replay.Engine.error_message e)
@@ -954,42 +934,28 @@ let replay_cmd trace budgets policies block check freq jobs telemetry =
           Printf.printf "energy       : %.1f uJ, %.3f ms\n"
             (t.Replay.Engine.t_energy_nj /. 1000.0)
             (t.Replay.Engine.t_time_s *. 1000.0);
-          let cells =
-            Experiments.Replay_sweep.grid ~budgets ~policies ()
-            |> List.map (fun c ->
-                   { c with Experiments.Replay_sweep.c_block = block })
+          let models =
+            List.concat_map
+              (fun m_budget ->
+                List.map
+                  (fun m_policy ->
+                    { Replay.Engine.m_budget; m_policy; m_block = block })
+                  policies)
+              budgets
           in
-          match
-            Experiments.Replay_sweep.replay_cells ~jobs:(resolve_jobs jobs)
-              ~trace cells
-          with
-          | Error e -> `Error (false, e)
-          | Ok run ->
-              List.iter
-                (fun (r : Experiments.Replay_sweep.cell_result) ->
-                  let sim = r.Experiments.Replay_sweep.r_sim in
-                  Printf.printf
-                    "cell         : budget=%-5d policy=%-4s refs=%d misses=%d \
-                     cold=%d evictions=%d loaded=%d B miss-rate=%.6f\n"
-                    r.Experiments.Replay_sweep.r_cell
-                      .Experiments.Replay_sweep.c_budget
-                    (Replay.Engine.policy_name
-                       r.Experiments.Replay_sweep.r_cell
-                         .Experiments.Replay_sweep.c_policy)
-                    sim.Replay.Engine.s_refs sim.Replay.Engine.s_misses
-                    sim.Replay.Engine.s_cold_misses
-                    sim.Replay.Engine.s_evictions
-                    sim.Replay.Engine.s_bytes_loaded
-                    sim.Replay.Engine.s_miss_rate)
-                run.Experiments.Replay_sweep.cells;
-              (* jobs-independent: the hit/miss partition happens
-                 before any cell is dispatched *)
-              let ms = Experiments.Replay_sweep.memo_stats () in
-              Printf.printf "memo         : %d hit, %d computed, %d stale\n"
-                ms.Experiments.Replay_sweep.hits
-                ms.Experiments.Replay_sweep.misses
-                ms.Experiments.Replay_sweep.stale;
-              if check then check_against_execution l else `Ok ()))
+          List.iter2
+            (fun (m : Replay.Engine.model) (sim : Replay.Engine.sim) ->
+              Printf.printf
+                "cell         : budget=%-5d policy=%-4s refs=%d misses=%d \
+                 cold=%d evictions=%d loaded=%d B miss-rate=%.6f\n"
+                m.Replay.Engine.m_budget
+                (Replay.Engine.policy_name m.Replay.Engine.m_policy)
+                sim.Replay.Engine.s_refs sim.Replay.Engine.s_misses
+                sim.Replay.Engine.s_cold_misses sim.Replay.Engine.s_evictions
+                sim.Replay.Engine.s_bytes_loaded sim.Replay.Engine.s_miss_rate)
+            models
+            (Replay.Engine.simulate_many l models);
+          if check then check_against_execution l else `Ok ()))
 
 (* Power-failure injection with the crash-consistency oracle. *)
 
@@ -1556,19 +1522,10 @@ let threshold_arg =
   in
   Arg.(value & opt (some float) None & info [ "threshold" ] ~doc)
 
-let identical_arg =
-  let doc =
-    "Telemetry-purity mode: instead of thresholded comparison, strip every \
-     host-wall-clock field from both reports and require the remainder to \
-     agree byte for byte (nonzero exit otherwise)."
-  in
-  Arg.(value & flag & info [ "identical" ] ~doc)
-
 let compare_term =
   Term.(
     ret
-      (const compare_cmd $ old_report_arg $ new_report_arg $ threshold_arg
-     $ identical_arg))
+      (const compare_cmd $ old_report_arg $ new_report_arg $ threshold_arg))
 
 let budget_arg =
   let doc = "Pinned-set byte budget (default: half the SRAM cache)." in
@@ -1612,8 +1569,7 @@ let replay_term =
   Term.(
     ret
       (const replay_cmd $ trace_pos_arg $ replay_budget_arg $ policy_arg
-     $ block_override_arg $ check_arg $ replay_freq_arg $ jobs_arg
-     $ telemetry_arg))
+     $ block_override_arg $ check_arg $ replay_freq_arg $ telemetry_arg))
 
 (* Timeline: render a telemetry run ledger (written by --telemetry)
    as a Chrome trace-event file, a utilization summary, or CSV. *)

@@ -6,28 +6,20 @@
 
     Schema v2 embeds the {!Observe.Metrics} sampler's output per
     system: a "metrics" object with the per-window time series and the
-    miss-ratio curve. Schema v3 adds per-system "host_seconds", the
-    "swapram_pgo" system, and — in full (non-slim) reports — a
-    top-level "host" object benchmarking the simulator itself:
-    wall-clock for the unobserved suite under the reference
-    interpreter (serial), the superblock engine (serial), and the
-    superblock engine sharded across workers, with per-benchmark and
-    geo-mean speedups. The host measurement cross-checks both engines
-    cell by cell and fails rather than report a speedup over a
-    disagreeing run.
+    miss-ratio curve. Schema v3 adds the "swapram_pgo" system.
 
     Schema v5 (v4 was never released) adds the optional top-level
     "campaign" object — Monte-Carlo fault-injection campaign
     statistics rendered by [Faultinject.Campaign.to_json] and passed
     in verbatim via [?campaign] (that engine sits above this
-    library).
+    library). Schema v7 adds the top-level "dse" object ({!Dse.json}).
 
-    Schema v6 adds the top-level "replay" object (full reports only):
-    {!Replay_sweep.bench} results — one recorded trace per benchmark x
-    cached system replayed across the cache-model grid, every cell
-    tagged ["replayed": true] with its record-once/replay-many speedup
-    over fresh execution. Rendering fails if any replay is not
-    bit-for-bit exact against its recording. *)
+    Schema v8 removes every host wall-clock member (per-system
+    "host_seconds", the "host" and "replay" objects, the dse object's
+    provenance and timing members): a report is a pure function of
+    its arguments, so two renderings of one configuration are
+    byte-identical whatever the worker count or telemetry setting.
+    Host speed is measured by the benchmark in perfbench/. *)
 
 val schema_version : int
 
@@ -43,8 +35,7 @@ val compute :
 (** [slim] (default false) drops the bulky "metrics" and
     "top_functions" payloads while keeping every scalar the
     perf-regression gate ({!Compare}) reads — the rendering committed
-    as bench/baseline.json — and omits the "host" object so the
-    baseline stays host-independent. [jobs] (default
+    as bench/baseline.json. [jobs] (default
     {!Sweep.set_default_jobs}) shards sweep cells across forked
     workers; it cannot change any simulated value. [campaign] is
     embedded as the top-level "campaign" member when given. *)
@@ -59,12 +50,3 @@ val write :
   string ->
   unit
 (** Render {!compute} pretty-printed to the given path. *)
-
-val deterministic_view : Observe.Json.t -> Observe.Json.t
-(** The report with every host-wall-clock key recursively removed
-    (per-cell "host_seconds", the "host" object, the replay section's
-    record/exec/load/sim timings and speedups). What remains is a pure
-    function of (seed, benchmarks, frequency): two runs of the same
-    configuration — telemetry on or off, serial or parallel — must
-    agree on this view byte for byte, which is exactly what the
-    telemetry-purity tests and the CI gate compare. *)

@@ -130,8 +130,7 @@ let compare_cell ~thresholds ~bench ~system old_cell new_cell
    so unlike the threshold-gated scalar metrics they are compared for
    equality: any drift means the cache model, the objective model or
    the Pareto computation changed, which must be an intentional,
-   baseline-refreshing change. Host-side members (store provenance,
-   wall clock) are stripped before comparing. *)
+   baseline-refreshing change. *)
 let dse_errors ~old_report ~new_report =
   match (Json.member "dse" old_report, Json.member "dse" new_report) with
   | None, _ ->
@@ -139,12 +138,8 @@ let dse_errors ~old_report ~new_report =
       []
   | Some _, None -> [ "dse object missing from new report" ]
   | Some old_dse, Some new_dse ->
-      let det key dse =
-        Bench_report.deterministic_view
-          (Option.value ~default:Json.Null (Json.member key dse))
-      in
       let member_drift key =
-        if det key old_dse = det key new_dse then []
+        if Json.member key old_dse = Json.member key new_dse then []
         else [ Printf.sprintf "dse: %s drifted from the baseline" key ]
       in
       let frontiers dse =
@@ -166,10 +161,7 @@ let dse_errors ~old_report ~new_report =
             | None ->
                 [ Printf.sprintf "dse: workload %s missing from new report" name ]
             | Some new_w ->
-                if
-                  Bench_report.deterministic_view old_w
-                  = Bench_report.deterministic_view new_w
-                then []
+                if old_w = new_w then []
                 else [ Printf.sprintf "dse: frontier drift for %s" name ])
           old_ws
       in

@@ -16,8 +16,7 @@
    a killed run never blocks future appends. Keys are derived from the
    trace *contents* (configuration fingerprint + event count) plus the
    model — never the file path — so a re-recorded or stale trace can
-   never satisfy a cached cell (same staleness discipline as
-   [Replay_sweep]'s in-memory memo). *)
+   never satisfy a cached cell. *)
 
 module Engine = Replay.Engine
 module Trace_file = Replay.Trace_file
@@ -741,9 +740,8 @@ let grid_json g =
     ]
 
 (* The deterministic members (grid, counts, frontiers) are identical
-   for serial, parallel and resumed runs; [eval_s] / [points_per_s]
-   are host wall-clock and are stripped from slim reports and from
-   [Bench_report.deterministic_view]. *)
+   for serial, parallel and resumed runs; the slim rendering — the one
+   bench/report.json embeds — drops the run-dependent members. *)
 let json ?(slim = false) grid outcome =
   let base =
     [

@@ -156,9 +156,11 @@ val run :
 val point_json : point -> Observe.Json.t
 
 val json : ?slim:bool -> grid -> outcome -> Observe.Json.t
-(** The schema-v7 ["dse"] report object. Deterministic members (grid,
+(** The ["dse"] report object. Deterministic members (grid,
     per-workload frontiers, global frontier, point/sim counts) are
     identical for serial, parallel and resumed runs; [slim] drops the
-    host-side members ([sims_computed], [sims_cached],
+    run-dependent members ([sims_computed], [sims_cached],
     [sims_collapsed], [eval_s], [points_per_s]), which depend on
-    memo-store warmth and wall clock. *)
+    memo-store warmth and wall clock. [bench/report.json] always
+    embeds the slim rendering; [swapram_cli dse --report] writes the
+    full one. *)

@@ -694,6 +694,78 @@ let run_recorded ?observe ~trace config =
           Replay.Trace_file.discard_writer w;
           Crashed o)
 
+(* Exact-replay verification: a loaded trace against the result of
+   the run that recorded it (or any execution of the same
+   configuration). *)
+let replay_mismatches (l : Replay.Engine.loaded) (res : result) =
+  let module Engine = Replay.Engine in
+  let errs = ref [] in
+  let chk name replayed executed =
+    if replayed <> executed then
+      errs :=
+        Printf.sprintf "%s: executed %d, replayed %d" name executed replayed
+        :: !errs
+  in
+  let chkf name replayed executed =
+    (* bit-for-bit: same counts through the same float pipeline *)
+    if replayed <> executed then
+      errs :=
+        Printf.sprintf "%s: executed %.17g, replayed %.17g" name executed
+          replayed
+        :: !errs
+  in
+  let stats = res.stats in
+  (match Engine.exact l with
+  | Error msg -> errs := ("exact replay: " ^ msg) :: !errs
+  | Ok t ->
+      chk "unstalled cycles" t.Engine.t_unstalled stats.Trace.unstalled_cycles;
+      chk "stall cycles" t.Engine.t_stall stats.Trace.stall_cycles;
+      chk "total cycles" t.Engine.t_cycles (Trace.total_cycles stats);
+      chkf "energy_nj" t.Engine.t_energy_nj res.energy.Energy.energy_nj;
+      chkf "time_s" t.Engine.t_time_s res.energy.Energy.time_s);
+  chk "instructions" l.Engine.instructions stats.Trace.instructions;
+  Array.iteri
+    (fun i n ->
+      chk
+        (Printf.sprintf "instructions[%s]"
+           (Trace.source_name
+              (List.nth
+                 [ Trace.App_fram; Trace.App_sram; Trace.Handler; Trace.Memcpy ]
+                 i)))
+        n stats.Trace.instr_by_source.(i))
+    l.Engine.by_source;
+  chk "fram_ifetch" l.Engine.fram_ifetch stats.Trace.fram_ifetch;
+  chk "fram_data_reads" l.Engine.fram_data_reads stats.Trace.fram_data_reads;
+  chk "fram_read_hits" l.Engine.fram_read_hits stats.Trace.fram_read_hits;
+  chk "fram_writes" l.Engine.fram_writes stats.Trace.fram_writes;
+  chk "sram_ifetch" l.Engine.sram_ifetch stats.Trace.sram_ifetch;
+  chk "sram_data_reads" l.Engine.sram_data_reads stats.Trace.sram_data_reads;
+  chk "sram_writes" l.Engine.sram_writes stats.Trace.sram_writes;
+  chk "periph_accesses" l.Engine.periph_accesses stats.Trace.periph_accesses;
+  (match res.swapram_stats with
+  | None -> ()
+  | Some s ->
+      let rc = l.Engine.runtime in
+      chk "swapram misses" rc.Engine.rc_misses s.Swapram.Runtime.misses;
+      chk "swapram evictions" rc.Engine.rc_evictions
+        s.Swapram.Runtime.evictions;
+      chk "swapram aborts" rc.Engine.rc_aborts s.Swapram.Runtime.aborts;
+      chk "swapram frozen" rc.Engine.rc_frozen s.Swapram.Runtime.frozen_misses;
+      chk "swapram too_large" rc.Engine.rc_too_large
+        s.Swapram.Runtime.too_large;
+      chk "swapram prefetches" rc.Engine.rc_prefetches
+        s.Swapram.Runtime.prefetches);
+  (match res.block_stats with
+  | None -> ()
+  | Some s ->
+      let rc = l.Engine.runtime in
+      chk "block misses" rc.Engine.rc_misses s.Blockcache.Runtime.misses;
+      chk "block loads" rc.Engine.rc_block_loads
+        s.Blockcache.Runtime.block_loads;
+      chk "block flushes" rc.Engine.rc_flushes s.Blockcache.Runtime.flushes;
+      chk "block returns" rc.Engine.rc_returns s.Blockcache.Runtime.returns);
+  List.rev !errs
+
 (* --- Profile-guided placement (train -> place -> rebuild -> measure) -- *)
 
 (* Per-function training profile out of a completed observed run: the

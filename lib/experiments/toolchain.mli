@@ -128,8 +128,10 @@ val config_fingerprint : config -> int
 (** FNV-1a fingerprint of everything in the configuration that can
     change simulated results (the engine and observation are
     excluded — both are result-neutral). Recorded into trace-file
-    headers; {!Replay_sweep} and [replay --check] use it to reject
-    stale traces. Stable across hosts and OCaml versions. *)
+    headers; [replay --check] uses it to reject traces whose
+    configuration cannot be reconstructed from the header names, and
+    {!Dse} keys its memo store on it. Stable across hosts and OCaml
+    versions. *)
 
 val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
 (** [run] plus a {!Replay.Trace_file} recorder riding the trace tap:
@@ -138,6 +140,15 @@ val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
     observer, which forces the cycle-identical reference engine, so
     the returned result equals an observed run's. The trace file is
     completed only on [Completed]; otherwise it is removed. *)
+
+val replay_mismatches : Replay.Engine.loaded -> result -> string list
+(** Check a loaded trace against the result of the run that recorded
+    it (or any execution of the same configuration — the simulated
+    results are engine- and observation-neutral): exact totals via
+    {!Replay.Engine.exact}, every {!Msp430.Trace} counter, energy
+    bit-for-bit, and the replayable runtime counters of whichever
+    caching system ran. Returns human-readable mismatch descriptions;
+    [[]] means the replay is exact. *)
 
 (** {2 Staged execution}
 

@@ -243,7 +243,8 @@ let entry_sig (e : Sweep.entry) =
 let parallel_sweep_matches_serial () =
   let benchmarks = Workloads.Suite.[ crc; bitcount ] in
   let run jobs =
-    Sweep.compute ~benchmarks ~jobs ~cache:false ~frequency:Platform.Mhz24 ()
+    Sweep.clear_cache ();
+    Sweep.compute ~benchmarks ~jobs ~frequency:Platform.Mhz24 ()
   in
   let serial = run 1 and sharded = run 3 in
   Alcotest.(check bool)
@@ -251,28 +252,16 @@ let parallel_sweep_matches_serial () =
     (List.map entry_sig serial = List.map entry_sig sharded)
 
 (* The full report path: serial and sharded renderings must be
-   byte-identical once host wall-clock fields are stripped. *)
-let rec strip_host = function
-  | Json.Obj kvs ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             if k = "host_seconds" || k = "host" then None
-             else Some (k, strip_host v))
-           kvs)
-  | Json.List l -> Json.List (List.map strip_host l)
-  | j -> j
-
+   byte-identical — the report carries no host-dependent field. *)
 let parallel_report_matches_serial () =
   let benchmarks = [ Workloads.Suite.crc ] in
   let render jobs =
     Sweep.clear_cache ();
     Json.to_string_pretty
-      (strip_host
-         (Experiments.Bench_report.compute ~benchmarks ~slim:true ~jobs ()))
+      (Experiments.Bench_report.compute ~benchmarks ~slim:false ~jobs ())
   in
   Alcotest.(check string)
-    "sharded report identical modulo host timing" (render 1) (render 2)
+    "sharded report is byte-identical" (render 1) (render 2)
 
 let worker_failure_surfaces () =
   match
@@ -303,7 +292,7 @@ let suite =
         observed_differential;
       Alcotest.test_case "parallel sweep merges to serial result" `Quick
         parallel_sweep_matches_serial;
-      Alcotest.test_case "parallel report identical modulo host time" `Slow
+      Alcotest.test_case "parallel report = serial report" `Slow
         parallel_report_matches_serial;
       Alcotest.test_case "worker failure surfaces as Worker_failed" `Quick
         worker_failure_surfaces;

@@ -11,7 +11,6 @@ module Platform = Msp430.Platform
 module Engine = Replay.Engine
 module Trace_file = Replay.Trace_file
 module Toolchain = Experiments.Toolchain
-module Replay_sweep = Experiments.Replay_sweep
 module Parallel = Experiments.Parallel
 
 let with_temp_trace f =
@@ -44,7 +43,7 @@ let config_for b system =
 
 (* One (benchmark x system) cell per worker: record with the full
    metrics stack attached, then check the replay against the recorded
-   run — exact totals / counters via Replay_sweep.verify_exact and
+   run — exact totals / counters via Toolchain.replay_mismatches and
    the windowed metrics series byte-for-byte through every renderer.
    Combinations that crash or don't fit record nothing and are
    vacuously equivalent (the block cache doesn't fit four of the
@@ -65,7 +64,7 @@ let equivalence_failures (b, system) =
           | Error e -> [ tag ("load: " ^ Engine.error_message e) ]
           | Ok l -> (
               let counter_fails =
-                List.map tag (Replay_sweep.verify_exact l res)
+                List.map tag (Toolchain.replay_mismatches l res)
               in
               let metrics_fails =
                 match res.Toolchain.observation with
@@ -134,7 +133,7 @@ let prop_record_replay_equals_execute =
               | Error e ->
                   QCheck2.Test.fail_reportf "load: %s" (Engine.error_message e)
               | Ok l -> (
-                  match Replay_sweep.verify_exact l res with
+                  match Toolchain.replay_mismatches l res with
                   | [] -> true
                   | m ->
                       QCheck2.Test.fail_reportf "%s" (String.concat "; " m)))))
@@ -418,7 +417,7 @@ let cross_budget_test () =
       in
       Alcotest.(check (list string))
         "replay of the recording is exact" []
-        (Replay_sweep.verify_exact l recorded);
+        (Toolchain.replay_mismatches l recorded);
       let fp = Engine.footprint l in
       Alcotest.(check bool) "tiny footprint fits 768 B" true (fp <= 768);
       List.iter
@@ -548,67 +547,32 @@ let frequency_retarget_test () =
             (res.Toolchain.energy.Msp430.Energy.time_s = t.Engine.t_time_s)
       | _ -> Alcotest.fail "8 MHz execution did not complete")
 
-(* --- Memo staleness (the Sweep-key fix) -------------------------------- *)
+(* --- Decode-cache staleness ------------------------------------------- *)
 
-(* Replayed cells are memoized by trace fingerprint + event count +
-   model, never by path: rewriting the file behind a path must yield
-   the new trace's answers, and ?expect must reject a stale trace
-   outright. *)
+(* [Engine.load_cached] serves a decoded trace only while the file
+   behind the path is unchanged: rewriting it in place with a
+   different recording must yield the new trace, never the cached
+   decode of the old one. *)
 let stale_trace_test () =
-  Replay_sweep.clear_cache ();
   with_temp_trace (fun trace ->
+      let load () =
+        match Engine.load_cached trace with
+        | Ok l -> l
+        | Error e -> Alcotest.failf "load_cached: %s" (Engine.error_message e)
+      in
       ignore (record_tiny trace);
-      let cells = Replay_sweep.grid () in
-      let run_a =
-        match Replay_sweep.replay_cells ~trace cells with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "first replay: %s" e
-      in
-      (* ?expect with a different configuration refuses the trace *)
-      (match
-         Replay_sweep.replay_cells
-           ~expect:(tiny_config ~system:"block" ()) ~trace cells
-       with
-      | Error msg ->
-          Alcotest.(check bool)
-            "error mentions staleness" true
-            (String.length msg >= 5 && String.sub msg 0 5 = "stale")
-      | Ok _ -> Alcotest.fail "stale trace accepted under ?expect");
-      (* overwrite the same path with a different recording: the memo
-         must miss (different fingerprint) and the new answers must
-         reflect the new trace *)
-      ignore (record_tiny ~system:"block" trace);
-      let run_b =
-        match Replay_sweep.replay_cells ~trace cells with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "second replay: %s" e
-      in
+      let a = load () in
       Alcotest.(check string)
-        "header follows the file" "block"
-        run_b.Replay_sweep.header.Trace_file.system;
-      let refs r =
-        (List.hd r.Replay_sweep.cells).Replay_sweep.r_sim.Engine.s_refs
-      in
-      if refs run_a = refs run_b then
+        "first load is the swapram recording" "swapram"
+        a.Engine.header.Trace_file.system;
+      ignore (record_tiny ~system:"block" trace);
+      let b = load () in
+      Alcotest.(check string)
+        "header follows the file" "block" b.Engine.header.Trace_file.system;
+      if a.Engine.refs = b.Engine.refs then
         Alcotest.fail
-          "rewritten trace returned the old recording's results (stale memo \
-           hit)")
-
-(* Parallel replay must be byte-identical to serial. *)
-let parallel_replay_test () =
-  with_temp_trace (fun trace ->
-      ignore (record_tiny trace);
-      let cells = Replay_sweep.grid () in
-      let sims jobs =
-        match Replay_sweep.replay_cells ~jobs ~cache:false ~trace cells with
-        | Ok r ->
-            List.map
-              (fun c -> (c.Replay_sweep.r_cell, c.Replay_sweep.r_sim))
-              r.Replay_sweep.cells
-        | Error e -> Alcotest.failf "replay (jobs=%d): %s" jobs e
-      in
-      if sims 1 <> sims 4 then
-        Alcotest.fail "parallel replay differs from serial")
+          "rewritten trace returned the old recording's references (stale \
+           decode-cache hit)")
 
 let suite =
   [
@@ -630,10 +594,8 @@ let suite =
     Alcotest.test_case "replayed MRC = executed MRC" `Quick mrc_identity_test;
     Alcotest.test_case "frequency retarget 24 -> 8 MHz = fresh 8 MHz run"
       `Quick frequency_retarget_test;
-    Alcotest.test_case "memo keys on trace contents, not path" `Quick
+    Alcotest.test_case "load_cached sees in-place rewrite" `Quick
       stale_trace_test;
-    Alcotest.test_case "parallel replay = serial replay" `Quick
-      parallel_replay_test;
     QCheck_alcotest.to_alcotest prop_record_replay_equals_execute;
     Alcotest.test_case "replay equivalence: Table-2 x {swapram, block}" `Quick
       equivalence_test;

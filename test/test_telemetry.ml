@@ -203,15 +203,13 @@ let campaign_unperturbed_by_telemetry () =
 let report_unperturbed_by_telemetry () =
   let compute () =
     Experiments.Sweep.clear_cache ();
-    Experiments.Replay_sweep.clear_cache ();
     Json.to_string
-      (Experiments.Bench_report.deterministic_view
-         (Experiments.Bench_report.compute ~seed:1
-            ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ()))
+      (Experiments.Bench_report.compute ~seed:1
+         ~benchmarks:[ Workloads.Suite.crc ] ~slim:true ())
   in
   let bare = compute () in
   let with_t, records = with_ledger compute in
-  Alcotest.(check string) "deterministic view is byte-identical" bare with_t;
+  Alcotest.(check string) "report is byte-identical" bare with_t;
   Alcotest.(check bool) "the ledger actually recorded spans" true
     (List.exists
        (function Tel.Span_begin { cat = "sweep"; _ } -> true | _ -> false)
