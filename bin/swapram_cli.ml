@@ -1104,9 +1104,15 @@ let resume_arg =
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"PATH" ~doc)
 
-let campaign_report_arg =
-  let doc = "Write the campaign report as schema-v7 JSON to $(docv)." in
+(* The help text names the schema version the report is written in. *)
+let report_arg what =
+  let doc =
+    Printf.sprintf "Write %s as schema-v%d JSON to $(docv)." what
+      Experiments.Bench_report.schema_version
+  in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
+
+let campaign_report_arg = report_arg "the campaign report"
 
 let quiet_arg =
   let doc = "Suppress per-shard progress output on stderr." in
@@ -1119,20 +1125,20 @@ let chunk_arg =
   in
   Arg.(value & opt int 0 & info [ "chunk" ] ~doc)
 
+let collect parse = function
+  | [] -> Ok None
+  | names ->
+      let rec go acc = function
+        | [] -> Ok (Some (List.rev acc))
+        | n :: rest -> (
+            match parse n with
+            | Ok v -> go (v :: acc) rest
+            | Error e -> Error e)
+      in
+      go [] names
+
 let campaign_cmd benchmarks systems samplers trials seed shard max_reboots
     watchdog_scale ci_width resume jobs chunk report quiet telemetry =
-  let collect parse = function
-    | [] -> Ok None
-    | names ->
-        let rec go acc = function
-          | [] -> Ok (Some (List.rev acc))
-          | n :: rest -> (
-              match parse n with
-              | Ok v -> go (v :: acc) rest
-              | Error e -> Error e)
-        in
-        go [] names
-  in
   let* benchmarks =
     collect
       (fun n ->
@@ -1279,17 +1285,13 @@ let dse_trace_dir_arg =
 
 let dse_resume_arg =
   let doc =
-    "Persistent memo store: finished sims are appended here as chunks \
-     complete, and a re-run only computes cells missing from the store (a \
-     warm store computes 0)."
+    "Persistent memo store: the computed sims are appended here when the \
+     simulate phase returns, and a re-run only computes cells missing from \
+     the store (a warm store computes 0)."
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"PATH" ~doc)
 
-let dse_report_arg =
-  let doc =
-    "Write the full schema-v7 DSE report (including host timing) to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
+let dse_report_arg = report_arg "the full DSE report (including host timing)"
 
 let dse_frontier_arg =
   let doc =
@@ -1300,18 +1302,6 @@ let dse_frontier_arg =
 
 let dse_cmd benchmarks systems bmin bmax bstep policies blocks mhzs seed jobs
     chunk trace_dir resume report frontier quiet telemetry =
-  let collect parse = function
-    | [] -> Ok None
-    | names ->
-        let rec go acc = function
-          | [] -> Ok (Some (List.rev acc))
-          | n :: rest -> (
-              match parse n with
-              | Ok v -> go (v :: acc) rest
-              | Error e -> Error e)
-        in
-        go [] names
-  in
   let* benchmarks =
     collect
       (fun n ->

@@ -10,11 +10,10 @@
    the memoized sims, which is why serial, parallel and resumed runs
    are byte-identical by construction.
 
-   The persistent memo store follows the campaign progress-file idiom:
-   a magic line, then marshalled (key, sim) entries, appended as
-   chunks complete and compacted on load so a torn trailing entry from
-   a killed run never blocks future appends. Keys are derived from the
-   trace *contents* (configuration fingerprint + event count) plus the
+   The persistent memo store is a {!Store} checkpoint file, the same
+   format as the campaign progress file. Computed sims are appended
+   when the simulate phase returns. Keys are derived from the trace
+   *contents* (configuration fingerprint + event count) plus the
    model — never the file path — so a re-recorded or stale trace can
    never satisfy a cached cell. *)
 
@@ -93,12 +92,11 @@ let caching_of_system = function
    (the block cache rejects several Table-2 benchmarks); a crash is an
    error. *)
 let record_workloads ?(seed = 1) ?benchmarks
-    ?(systems = [ "swapram"; "block" ]) ?(frequency = Platform.Mhz8) ?jobs
-    ?(progress = Progress.null) ~dir () =
+    ?(systems = [ "swapram"; "block" ]) ?(frequency = Platform.Mhz8)
+    ?(jobs = 1) ?(progress = Progress.null) ~dir () =
   let benchmarks =
     match benchmarks with Some b -> b | None -> Workloads.Suite.all
   in
-  let jobs = Sweep.resolve_jobs jobs in
   match
     List.fold_left
       (fun acc s ->
@@ -314,62 +312,42 @@ let pareto points =
 
 (* --- Persistent memo store --------------------------------------------- *)
 
-let store_magic = "swapram-dse-memo/1"
-
-type sim_key = {
-  sk_fingerprint : int;
-  sk_events : int;
-  sk_budget : int;
-  sk_policy : string;
-  sk_block : int;
-}
-
-let write_entry oc (key : sim_key) (s : Engine.sim) =
-  Marshal.to_channel oc (key, s) []
-
-(* Load-and-compact, exactly the campaign checkpoint discipline. The
-   store is grid-independent (no plan fingerprint in the header):
-   entries from unrelated grids coexist and a later, larger grid
-   extends the store incrementally. *)
-let open_store path =
-  let cache : (sim_key, Engine.sim) Hashtbl.t = Hashtbl.create 4096 in
-  let fresh () =
-    let oc =
-      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
-        path
-    in
-    output_string oc (store_magic ^ "\n");
-    flush oc;
-    Ok (cache, oc)
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        fresh ()
-    | magic when magic <> store_magic ->
-        close_in ic;
-        Error (Printf.sprintf "memo store %s: not a dse memo store" path)
-    | _ ->
-        (try
-           while true do
-             let (key : sim_key), (s : Engine.sim) = Marshal.from_channel ic in
-             Hashtbl.replace cache key s
-           done
-         with End_of_file | Failure _ -> ());
-        close_in ic;
-        let oc =
-          open_out_gen
-            [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-            0o644 path
-        in
-        output_string oc (store_magic ^ "\n");
-        Hashtbl.iter (fun k s -> write_entry oc k s) cache;
-        flush oc;
-        Ok (cache, oc)
-  end
-  else fresh ()
+(* A key is (trace fingerprint, trace events, budget, policy name,
+   effective block bytes). The store is grid-independent (no
+   fingerprint in the header): entries from unrelated grids coexist
+   and a later, larger grid extends the store incrementally. *)
+let memo_codec =
+  {
+    Store.magic = "swapram-dse-memo";
+    encode =
+      (fun (fp, events, budget, policy, block) (s : Engine.sim) ->
+        let rate = Int64.bits_of_float s.Engine.s_miss_rate in
+        Json.List
+          (Json.String policy
+          :: Json.String (Int64.to_string rate)
+          :: List.map
+               (fun n -> Json.Int n)
+               [ fp; events; budget; block; s.Engine.s_refs; s.Engine.s_misses;
+                 s.Engine.s_cold_misses; s.Engine.s_evictions;
+                 s.Engine.s_bytes_loaded ]));
+    decode =
+      (function
+        | Json.List (Json.String policy :: Json.String rate :: ints) -> (
+            match List.map (fun j -> Option.get (Json.to_int j)) ints with
+            | [ fp; events; budget; block; s_refs; s_misses; s_cold_misses;
+                s_evictions; s_bytes_loaded ] ->
+                ( (fp, events, budget, policy, block),
+                  {
+                    Engine.s_refs;
+                    s_misses;
+                    s_cold_misses;
+                    s_evictions;
+                    s_bytes_loaded;
+                    s_miss_rate = Int64.float_of_bits (Int64.of_string rate);
+                  } )
+            | _ -> failwith "dse memo entry: wrong field count")
+        | _ -> failwith "not a dse memo entry");
+  }
 
 (* --- Evaluation --------------------------------------------------------- *)
 
@@ -432,278 +410,203 @@ let models_for g w =
     g.g_policies
 
 let key_of w (m : Engine.model) =
-  {
-    sk_fingerprint = w.w_fingerprint;
-    sk_events = w.w_events;
-    sk_budget = m.Engine.m_budget;
-    sk_policy = Engine.policy_name m.Engine.m_policy;
-    sk_block = (match m.Engine.m_block with None -> 0 | Some b -> b);
-  }
+  ( w.w_fingerprint,
+    w.w_events,
+    m.Engine.m_budget,
+    Engine.policy_name m.Engine.m_policy,
+    match m.Engine.m_block with None -> 0 | Some b -> b )
 
-let run ?jobs ?chunk ?(progress = Progress.null) ?store grid workloads =
-  match validate_grid grid with
-  | Error _ as e -> e
-  | Ok () -> (
-      let jobs = Sweep.resolve_jobs jobs in
-      match
-        match store with
-        | None -> Ok (Hashtbl.create 4096, None)
-        | Some path -> (
-            match open_store path with
-            | Ok (cache, oc) -> Ok (cache, Some oc)
-            | Error _ as e -> e)
-      with
-      | Error e -> Error e
-      | Ok (cache, append) -> (
-          (* Staleness gate: each workload's on-disk trace must still
-             carry the fingerprint it was planned with. *)
-          let stale =
-            List.find_map
-              (fun w ->
-                match Trace_file.read_header w.w_trace with
-                | Error e ->
-                    Some
-                      (Printf.sprintf "dse: %s: %s" (workload_name w)
-                         (Trace_file.error_message e))
-                | Ok h when h.Trace_file.fingerprint <> w.w_fingerprint ->
-                    Some
-                      (Printf.sprintf
-                         "dse: %s: stale trace (fingerprint %d, planned %d)"
-                         (workload_name w) h.Trace_file.fingerprint
-                         w.w_fingerprint)
-                | Ok _ -> None)
-              workloads
-          in
-          match stale with
-          | Some e ->
-              (match append with Some oc -> close_out oc | None -> ());
-              Error e
-          | None -> (
-              let t0 = Unix.gettimeofday () in
-              let per_workload =
-                List.map (fun w -> (w, models_for grid w)) workloads
-              in
-              let nfreq = List.length grid.g_frequencies in
-              let sims_total =
-                List.fold_left
-                  (fun acc (_, ms) -> acc + List.length ms)
-                  0 per_workload
-              in
-              let points_total = sims_total * nfreq in
-              (* Partition against the store; only missing sims are
-                 dispatched. *)
-              let missing =
-                List.concat_map
-                  (fun (w, ms) ->
-                    List.filter_map
-                      (fun m ->
-                        if Hashtbl.mem cache (key_of w m) then None
-                        else Some (w, m))
-                      ms)
-                  per_workload
-              in
-              let sims_computed = List.length missing in
-              let sims_cached = sims_total - sims_computed in
-              Observe.Telemetry.counter "dse.sims_computed" sims_computed;
-              Observe.Telemetry.counter "dse.sims_cached" sims_cached;
-              progress
-                (Progress.Units_done
-                   {
-                     label = "dse";
-                     finished = sims_cached;
-                     total = sims_total;
-                   });
-              (* Chunk the missing (workload, model) pairs — contiguous,
-                 so each chunk stays within few workloads and the
-                 worker-side [load_cached] hit rate stays high (the
-                 parent already decoded every trace; fork inherits). *)
-              let cwidth = Parallel.chunk_size ?chunk ~jobs sims_computed in
-              let tasks =
-                let arr = Array.of_list missing in
-                let n = Array.length arr in
-                List.init
-                  ((n + cwidth - 1) / cwidth)
-                  (fun i ->
-                    let lo = i * cwidth in
-                    Array.sub arr lo (min cwidth (n - lo)))
-              in
-              let sizes =
-                Array.of_list (List.map Array.length tasks)
-              in
-              let finished = ref sims_cached in
-              let on_pool ev =
-                (match ev with
-                | Parallel.Completed { task; _ } ->
-                    finished := !finished + sizes.(task);
-                    progress
-                      (Progress.Units_done
-                         {
-                           label = "dse";
-                           finished = !finished;
-                           total = sims_total;
-                         })
-                | _ -> ());
-                match ev with
-                | Parallel.Dispatched { pid; task } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_busy; task })
-                | Parallel.Completed { pid; task } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_idle; task })
-                | Parallel.Spawned { pid } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_spawned; task = -1 })
-                | Parallel.Died { pid; task; _ } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_died; task })
-                | Parallel.Timed_out { pid; task } ->
-                    progress
-                      (Progress.Worker_state
-                         { pid; state = Progress.W_timed_out; task })
-                | Parallel.Requeued _ -> ()
-              in
-              (* One chunk = one [simulate_many_collapsed] batch per
-                 workload segment within it. The chunk's collapsed-sim
-                 count rides back through the result pipe: it is
-                 tallied inside the (possibly forked) worker, where a
-                 parent-side counter would never see it. *)
-              let eval_chunk chunk =
-                let n = Array.length chunk in
-                let out = Array.make n None in
-                let ncollapsed = ref 0 in
-                let i = ref 0 in
-                while !i < n do
-                  let w, _ = chunk.(!i) in
-                  let j = ref !i in
-                  while
-                    !j < n && (fst chunk.(!j)).w_trace = w.w_trace
-                  do
-                    incr j
-                  done;
+(* Staleness gate: each workload's on-disk trace must still carry the
+   fingerprint it was planned with. *)
+let stale_error w =
+  match Trace_file.read_header w.w_trace with
+  | Error e ->
+      Some
+        (Printf.sprintf "dse: %s: %s" (workload_name w)
+           (Trace_file.error_message e))
+  | Ok h when h.Trace_file.fingerprint <> w.w_fingerprint ->
+      Some
+        (Printf.sprintf "dse: %s: stale trace (fingerprint %d, planned %d)"
+           (workload_name w) h.Trace_file.fingerprint w.w_fingerprint)
+  | Ok _ -> None
+
+let evaluate ~jobs ?chunk ~progress cache grid workloads =
+  let t0 = Unix.gettimeofday () in
+  let per_workload = List.map (fun w -> (w, models_for grid w)) workloads in
+  let nfreq = List.length grid.g_frequencies in
+  let sims_total =
+    List.fold_left (fun acc (_, ms) -> acc + List.length ms) 0 per_workload
+  in
+  let points_total = sims_total * nfreq in
+  (* Partition against the store; only missing sims are dispatched. *)
+  let missing =
+    List.concat_map
+      (fun (w, ms) ->
+        List.filter_map
+          (fun m -> if Store.mem cache (key_of w m) then None else Some (w, m))
+          ms)
+      per_workload
+  in
+  let sims_computed = List.length missing in
+  let sims_cached = sims_total - sims_computed in
+  Observe.Telemetry.counter "dse.sims_computed" sims_computed;
+  Observe.Telemetry.counter "dse.sims_cached" sims_cached;
+  progress
+    (Progress.Units_done
+       { label = "dse"; finished = sims_cached; total = sims_total });
+  (* Chunk the missing (workload, model) pairs — contiguous, so each
+     chunk stays within few workloads and the worker-side
+     [load_cached] hit rate stays high (the parent already decoded
+     every trace; fork inherits). *)
+  let cwidth = Parallel.chunk_size ?chunk ~jobs sims_computed in
+  let tasks =
+    let arr = Array.of_list missing in
+    let n = Array.length arr in
+    List.init
+      ((n + cwidth - 1) / cwidth)
+      (fun i ->
+        let lo = i * cwidth in
+        Array.sub arr lo (min cwidth (n - lo)))
+  in
+  let sizes = Array.of_list (List.map Array.length tasks) in
+  let finished = ref sims_cached in
+  let on_pool ev =
+    (match ev with
+    | Parallel.Completed { task; _ } ->
+        finished := !finished + sizes.(task);
+        progress
+          (Progress.Units_done
+             { label = "dse"; finished = !finished; total = sims_total })
+    | _ -> ());
+    Option.iter progress (Parallel.worker_progress ev)
+  in
+  (* One chunk = one [simulate_many_collapsed] batch per workload
+     segment within it. The chunk's collapsed-sim count rides back
+     through the result pipe: it is tallied inside the (possibly
+     forked) worker, where a parent-side counter would never see it. *)
+  let eval_chunk chunk =
+    let n = Array.length chunk in
+    let out = Array.make n None in
+    let ncollapsed = ref 0 in
+    let i = ref 0 in
+    while !i < n do
+      let w, _ = chunk.(!i) in
+      let j = ref !i in
+      while !j < n && (fst chunk.(!j)).w_trace = w.w_trace do
+        incr j
+      done;
+      let l = load_or_fail w.w_trace in
+      let ms = List.init (!j - !i) (fun k -> snd chunk.(!i + k)) in
+      let sims, collapsed = Engine.simulate_many_collapsed l ms in
+      List.iteri (fun k s -> out.(!i + k) <- Some s) sims;
+      ncollapsed := !ncollapsed + collapsed;
+      i := !j
+    done;
+    (Array.map Option.get out, !ncollapsed)
+  in
+  match
+    Observe.Telemetry.with_span ~cat:"dse" "simulate"
+      ~args:
+        [
+          ("sims", Json.Int sims_computed);
+          ("jobs", Json.Int jobs);
+          ("chunk", Json.Int cwidth);
+        ]
+      (fun () ->
+        if tasks = [] then []
+        else Parallel.map_robust ~jobs ~on_event:on_pool eval_chunk tasks)
+  with
+  | exception Failure msg -> Error msg
+  | exception Parallel.Worker_failed msg -> Error msg
+  | results ->
+      List.iter2
+        (fun chunk (sims, _) ->
+          Array.iteri
+            (fun k s ->
+              let w, m = chunk.(k) in
+              Store.add cache (key_of w m) s)
+            sims)
+        tasks results;
+      let sims_collapsed =
+        List.fold_left (fun acc (_, c) -> acc + c) 0 results
+      in
+      Observe.Telemetry.counter "dse.sims_collapsed" sims_collapsed;
+      (* Fan sims out into points and frontiers, entirely in the
+         parent. *)
+      let frontiers, all_points =
+        Observe.Telemetry.with_span ~cat:"dse" "frontier"
+          ~args:[ ("points", Json.Int points_total) ]
+          (fun () ->
+            let acc_all = ref [] in
+            let fronts =
+              List.map
+                (fun (w, ms) ->
                   let l = load_or_fail w.w_trace in
-                  let ms =
-                    List.init (!j - !i) (fun k -> snd chunk.(!i + k))
+                  let name = workload_name w in
+                  let pts =
+                    List.concat_map
+                      (fun (m : Engine.model) ->
+                        let sim = Store.find cache (key_of w m) in
+                        List.map
+                          (fun freq ->
+                            {
+                              p_workload = name;
+                              p_budget = m.Engine.m_budget;
+                              p_policy = Engine.policy_name m.Engine.m_policy;
+                              p_block =
+                                (match m.Engine.m_block with
+                                | None -> 0
+                                | Some b -> b);
+                              p_frequency_mhz = freq;
+                              p_obj =
+                                objectives_of l ~frequency_mhz:freq
+                                  ~budget:m.Engine.m_budget sim;
+                            })
+                          grid.g_frequencies)
+                      ms
                   in
-                  let sims, collapsed = Engine.simulate_many_collapsed l ms in
-                  List.iteri (fun k s -> out.(!i + k) <- Some s) sims;
-                  ncollapsed := !ncollapsed + collapsed;
-                  i := !j
-                done;
-                (Array.map Option.get out, !ncollapsed)
-              in
-              match
-                Observe.Telemetry.with_span ~cat:"dse" "simulate"
-                  ~args:
-                    [
-                      ("sims", Json.Int sims_computed);
-                      ("jobs", Json.Int jobs);
-                      ("chunk", Json.Int cwidth);
-                    ]
-                  (fun () ->
-                    if tasks = [] then []
-                    else
-                      Parallel.map_robust ~jobs ~on_event:on_pool eval_chunk
-                        tasks)
-              with
-              | exception Failure msg ->
-                  (match append with Some oc -> close_out oc | None -> ());
-                  Error msg
-              | exception Parallel.Worker_failed msg ->
-                  (match append with Some oc -> close_out oc | None -> ());
-                  Error msg
-              | results ->
-                  List.iter2
-                    (fun chunk (sims, _) ->
-                      Array.iteri
-                        (fun k s ->
-                          let w, m = chunk.(k) in
-                          let key = key_of w m in
-                          Hashtbl.replace cache key s;
-                          match append with
-                          | Some oc -> write_entry oc key s
-                          | None -> ())
-                        sims)
-                    tasks results;
-                  let sims_collapsed =
-                    List.fold_left (fun acc (_, c) -> acc + c) 0 results
-                  in
-                  Observe.Telemetry.counter "dse.sims_collapsed"
-                    sims_collapsed;
-                  (match append with
-                  | Some oc ->
-                      flush oc;
-                      close_out oc
-                  | None -> ());
-                  (* Fan sims out into points and frontiers, entirely
-                     in the parent. *)
-                  let frontiers, all_points =
-                    Observe.Telemetry.with_span ~cat:"dse" "frontier"
-                      ~args:[ ("points", Json.Int points_total) ]
-                      (fun () ->
-                        let acc_all = ref [] in
-                        let fronts =
-                          List.map
-                            (fun (w, ms) ->
-                              let l = load_or_fail w.w_trace in
-                              let name = workload_name w in
-                              let pts =
-                                List.concat_map
-                                  (fun (m : Engine.model) ->
-                                    let sim =
-                                      Hashtbl.find cache (key_of w m)
-                                    in
-                                    List.map
-                                      (fun freq ->
-                                        {
-                                          p_workload = name;
-                                          p_budget = m.Engine.m_budget;
-                                          p_policy =
-                                            Engine.policy_name
-                                              m.Engine.m_policy;
-                                          p_block =
-                                            (match m.Engine.m_block with
-                                            | None -> 0
-                                            | Some b -> b);
-                                          p_frequency_mhz = freq;
-                                          p_obj =
-                                            objectives_of l
-                                              ~frequency_mhz:freq
-                                              ~budget:m.Engine.m_budget sim;
-                                        })
-                                      grid.g_frequencies)
-                                  ms
-                              in
-                              acc_all := List.rev_append pts !acc_all;
-                              {
-                                f_workload = name;
-                                f_points = List.length pts;
-                                f_frontier = pareto pts;
-                              })
-                            per_workload
-                        in
-                        (fronts, !acc_all))
-                  in
-                  let eval_s = Unix.gettimeofday () -. t0 in
-                  Ok
-                    {
-                      d_workloads = workloads;
-                      d_points_total = points_total;
-                      d_sims_total = sims_total;
-                      d_sims_computed = sims_computed;
-                      d_sims_cached = sims_cached;
-                      d_sims_collapsed = sims_collapsed;
-                      d_frontiers = frontiers;
-                      d_global_frontier = pareto all_points;
-                      d_eval_s = eval_s;
-                      d_points_per_s =
-                        (if eval_s > 0.0 then
-                           float_of_int points_total /. eval_s
-                         else 0.0);
-                    })))
+                  acc_all := List.rev_append pts !acc_all;
+                  {
+                    f_workload = name;
+                    f_points = List.length pts;
+                    f_frontier = pareto pts;
+                  })
+                per_workload
+            in
+            (fronts, !acc_all))
+      in
+      let eval_s = Unix.gettimeofday () -. t0 in
+      Ok
+        {
+          d_workloads = workloads;
+          d_points_total = points_total;
+          d_sims_total = sims_total;
+          d_sims_computed = sims_computed;
+          d_sims_cached = sims_cached;
+          d_sims_collapsed = sims_collapsed;
+          d_frontiers = frontiers;
+          d_global_frontier = pareto all_points;
+          d_eval_s = eval_s;
+          d_points_per_s =
+            (if eval_s > 0.0 then float_of_int points_total /. eval_s
+             else 0.0);
+        }
+
+let run ?(jobs = 1) ?chunk ?(progress = Progress.null) ?store grid workloads =
+  let ( let* ) = Result.bind in
+  let* () = validate_grid grid in
+  let* () =
+    match List.find_map stale_error workloads with
+    | Some e -> Error e
+    | None -> Ok ()
+  in
+  let* cache =
+    Result.map_error Store.error_message (Store.create ?path:store memo_codec)
+  in
+  Fun.protect
+    ~finally:(fun () -> Store.close cache)
+    (fun () ->
+      evaluate ~jobs:(max 1 jobs) ?chunk ~progress cache grid workloads)
 
 (* --- JSON --------------------------------------------------------------- *)
 

@@ -54,13 +54,14 @@ val record_workloads :
   dir:string ->
   unit ->
   (workload list, string) result
-(** Record one trace per (benchmark x system) into [dir], in parallel.
-    A trace already on disk whose header fingerprint matches the
-    expected configuration is reused without re-recording, so a
-    persistent [dir] makes re-runs recording-free. Pairs whose image
-    does not fit the system are skipped; a crash is an [Error]. Each
-    trace is decoded once here in the parent ({!Replay.Engine.load_cached}),
-    so forked evaluation workers inherit the decoded statistics. *)
+(** Record one trace per (benchmark x system) into [dir] on [jobs]
+    forked workers (default 1). A trace already on disk whose header
+    fingerprint matches the expected configuration is reused without
+    re-recording, so a persistent [dir] makes re-runs recording-free.
+    Pairs whose image does not fit the system are skipped; a crash is
+    an [Error]. Each trace is decoded once here in the parent
+    ({!Replay.Engine.load_cached}), so forked evaluation workers
+    inherit the decoded statistics. *)
 
 (** {2 Points and objectives} *)
 
@@ -133,6 +134,11 @@ type outcome = {
   d_points_per_s : float;
 }
 
+val memo_codec : (int * int * int * string * int, Replay.Engine.sim) Store.codec
+(** The memo store's entry codec. A key is (trace fingerprint, trace
+    events, budget, policy name, effective block bytes); the miss rate
+    is stored as its IEEE bit pattern, so a reloaded sim is identical. *)
+
 val run :
   ?jobs:int ->
   ?chunk:int ->
@@ -142,14 +148,14 @@ val run :
   workload list ->
   (outcome, string) result
 (** Evaluate the full grid. Missing sims (not in the [store]) are
-    sharded across forked workers in chunks of
+    sharded across [jobs] forked workers (default 1) in chunks of
     {!Parallel.chunk_size} cells, grouped by workload so each chunk is
     a handful of {!Replay.Engine.simulate_many} batches; [chunk]
     overrides the dynamic width. [store] names the persistent memo
-    store (created if absent): finished chunks are appended as they
-    complete and a torn tail from a killed run is compacted away on
-    load. A workload whose on-disk trace no longer matches its planned
-    fingerprint is an [Error], not a silent recompute. *)
+    store, a {!Store} file (created if absent) that receives the
+    computed sims when the simulate phase returns; without it the memo
+    is in memory. A workload whose on-disk trace no longer matches its
+    planned fingerprint is an [Error], not a silent recompute. *)
 
 (** {2 JSON} *)
 

@@ -52,6 +52,17 @@ type event =
   | Timed_out of { pid : int; task : int }
   | Requeued of { task : int; attempt : int; delay : float }
 
+let worker_progress ev =
+  let module P = Observe.Progress in
+  let state pid state task = Some (P.Worker_state { pid; state; task }) in
+  match ev with
+  | Spawned { pid } -> state pid P.W_spawned (-1)
+  | Dispatched { pid; task } -> state pid P.W_busy task
+  | Completed { pid; task } -> state pid P.W_idle task
+  | Died { pid; task; _ } -> state pid P.W_died task
+  | Timed_out { pid; task } -> state pid P.W_timed_out task
+  | Requeued _ -> None
+
 type 'b reply = Ok_r of 'b | Error_r of string
 
 type worker = {

@@ -45,6 +45,10 @@ type event =
   | Requeued of { task : int; attempt : int; delay : float }
       (** re-execution scheduled after [delay] seconds of backoff *)
 
+val worker_progress : event -> Observe.Progress.event option
+(** The [Worker_state] of the worker a pool event concerns ([task = -1]
+    on [Spawned]); [None] for [Requeued], which concerns no worker. *)
+
 val map :
   ?jobs:int -> ?on_event:(event -> unit) -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs]

@@ -23,6 +23,7 @@
 
 module Toolchain = Experiments.Toolchain
 module Parallel = Experiments.Parallel
+module Store = Experiments.Store
 module Progress = Observe.Progress
 module Json = Observe.Json
 
@@ -271,20 +272,14 @@ let cells_of plan =
     plan.p_benchmarks
 
 (* ------------------------------------------------------------------ *)
-(* Progress checkpoint file.
-
-   Layout: a magic line, a fingerprint line, then marshalled
-   [(label, shard, lo, hi, tally)] entries. The fingerprint covers
+(* Progress checkpoint file: an {!Experiments.Store} of
+   [(label, shard, lo, hi) -> tally] entries, fingerprinted by
    everything that determines a shard's tally — seed, shard size,
    watchdogs, fuel, and the cell grid — but *not* the trial count or
    the CI width, so a finished campaign can be extended (more trials)
    or re-aggregated (tighter interval) without recomputation; partial
    last shards are keyed by their [lo, hi) trial range and simply miss
-   the cache when the range changes. A half-written trailing entry
-   (campaign killed mid-append) is dropped on load and the file is
-   rewritten compacted, so appends always land on a clean tail. *)
-
-let progress_magic = "swapram-campaign-progress/1"
+   the cache when the range changes. *)
 
 let fingerprint plan =
   String.concat ";"
@@ -302,74 +297,49 @@ let fingerprint plan =
     @ List.map (fun r -> "r:" ^ Toolchain.caching_name r) plan.p_runtimes
     @ List.map (fun s -> "s:" ^ sampler_name s) plan.p_samplers)
 
-type shard_key = string * int * int * int (* label, shard, lo, hi *)
-
-let write_entry oc (key : shard_key) (t : tally) =
-  Marshal.to_channel oc (key, t) []
-
-let open_progress path plan =
-  let fp = fingerprint plan in
-  let cache : (shard_key, tally) Hashtbl.t = Hashtbl.create 64 in
-  match path with
-  | None -> Ok (cache, None)
-  | Some path ->
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        let header =
-          try
-            let magic = input_line ic in
-            let fp' = input_line ic in
-            Ok (magic, fp')
-          with End_of_file -> Error "truncated header"
-        in
-        match header with
-        | Error e ->
-            close_in ic;
-            Error (Printf.sprintf "progress file %s: %s" path e)
-        | Ok (magic, _) when magic <> progress_magic ->
-            close_in ic;
-            Error
-              (Printf.sprintf "progress file %s: not a campaign progress file"
-                 path)
-        | Ok (_, fp') when fp' <> fp ->
-            close_in ic;
-            Error
-              (Printf.sprintf
-                 "progress file %s was recorded by a different campaign \
-                  configuration"
-                 path)
-        | Ok _ ->
-            (try
-               while true do
-                 let (key : shard_key), (t : tally) =
-                   Marshal.from_channel ic
-                 in
-                 Hashtbl.replace cache key t
-               done
-             with End_of_file | Failure _ -> ());
-            close_in ic;
-            (* rewrite compacted so a torn trailing entry from a killed
-               campaign never sits in front of future appends *)
-            let oc =
-              open_out_gen
-                [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-                0o644 path
-            in
-            output_string oc (progress_magic ^ "\n" ^ fp ^ "\n");
-            Hashtbl.iter (fun k t -> write_entry oc k t) cache;
-            flush oc;
-            Ok (cache, Some oc)
-      end
-      else begin
-        let oc =
-          open_out_gen
-            [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-            0o644 path
-        in
-        output_string oc (progress_magic ^ "\n" ^ fp ^ "\n");
-        flush oc;
-        Ok (cache, Some oc)
-      end
+(* Float sums travel as IEEE bit patterns: the report must be
+   byte-identical whether a shard was computed or replayed. *)
+let progress_codec =
+  let bits f = Json.String (Int64.to_string (Int64.bits_of_float f)) in
+  let float s = Int64.float_of_bits (Int64.of_string s) in
+  {
+    Store.magic = "swapram-campaign-progress";
+    encode =
+      (fun (label, shard, lo, hi) t ->
+        Json.List
+          (Json.String label :: bits t.t_cycles_completed
+          :: bits t.t_energy_completed
+          :: List.map
+               (fun n -> Json.Int n)
+               [ shard; lo; hi; t.t_trials; t.t_consistent; t.t_completed;
+                 t.t_mismatches; t.t_fault_escapes; t.t_livelocks; t.t_reboots;
+                 t.t_torn; t.t_reboots_completed ]));
+    decode =
+      (function
+        | Json.List
+            (Json.String label :: Json.String cycles :: Json.String energy
+            :: ints) -> (
+            match List.map (fun j -> Option.get (Json.to_int j)) ints with
+            | [ shard; lo; hi; t_trials; t_consistent; t_completed;
+                t_mismatches; t_fault_escapes; t_livelocks; t_reboots; t_torn;
+                t_reboots_completed ] ->
+                ( (label, shard, lo, hi),
+                  {
+                    t_trials;
+                    t_consistent;
+                    t_completed;
+                    t_mismatches;
+                    t_fault_escapes;
+                    t_livelocks;
+                    t_reboots;
+                    t_torn;
+                    t_reboots_completed;
+                    t_cycles_completed = float cycles;
+                    t_energy_completed = float energy;
+                  } )
+            | _ -> failwith "campaign progress entry: wrong field count")
+        | _ -> failwith "not a campaign progress entry");
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Running *)
@@ -426,41 +396,25 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
   then Error "campaign: empty cell grid"
   else begin
     let cells = cells_of plan in
-    match open_progress progress_file plan with
-    | Error e -> Error e
-    | Ok (cache, append) ->
+    match
+      Store.create ~fingerprint:(fingerprint plan) ?path:progress_file
+        progress_codec
+    with
+    | Error e -> Error (Store.error_message e)
+    | Ok cache ->
         let t0 = Unix.gettimeofday () in
         progress
           (Progress.Campaign_started
              { cells = List.length cells; trials = plan.p_trials });
         (* High-frequency dispatch/completion traffic goes out as
-           Worker_state (dashboards render it, plain sinks drop it);
-           the rarer lifecycle events additionally keep their
+           Worker_state only (dashboards render it, plain sinks drop
+           it); the rarer lifecycle events additionally keep their
            historical one-line Pool_event form. *)
         let on_pool ev =
+          Option.iter progress (Parallel.worker_progress ev);
           match ev with
-          | Parallel.Dispatched { pid; task } ->
-              progress
-                (Progress.Worker_state { pid; state = Progress.W_busy; task })
-          | Parallel.Completed { pid; task } ->
-              progress
-                (Progress.Worker_state { pid; state = Progress.W_idle; task })
-          | Parallel.Spawned { pid } ->
-              progress
-                (Progress.Worker_state
-                   { pid; state = Progress.W_spawned; task = -1 });
-              progress (Progress.Pool_event (pool_describe ev))
-          | Parallel.Died { pid; task; _ } ->
-              progress
-                (Progress.Worker_state { pid; state = Progress.W_died; task });
-              progress (Progress.Pool_event (pool_describe ev))
-          | Parallel.Timed_out { pid; task } ->
-              progress
-                (Progress.Worker_state
-                   { pid; state = Progress.W_timed_out; task });
-              progress (Progress.Pool_event (pool_describe ev))
-          | Parallel.Requeued _ ->
-              progress (Progress.Pool_event (pool_describe ev))
+          | Parallel.Dispatched _ | Parallel.Completed _ -> ()
+          | _ -> progress (Progress.Pool_event (pool_describe ev))
         in
         let shard_range s =
           let lo = s * plan.p_shard_trials in
@@ -508,7 +462,7 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                 in
                 let idxs = List.init (round_end - !next) (fun i -> !next + i) in
                 let work =
-                  List.filter (fun s -> not (Hashtbl.mem cache (key s))) idxs
+                  List.filter (fun s -> not (Store.mem cache (key s))) idxs
                 in
                 shards_computed := !shards_computed + List.length work;
                 shards_cached :=
@@ -529,17 +483,11 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                         ~cell_idx ~lo ~hi)
                     work
                 in
-                List.iter2
-                  (fun s t ->
-                    Hashtbl.replace cache (key s) t;
-                    match append with
-                    | Some oc -> write_entry oc (key s) t
-                    | None -> ())
-                  work computed;
-                (match append with Some oc -> flush oc | None -> ());
+                List.iter2 (fun s t -> Store.add cache (key s) t) work computed;
+                Store.flush cache;
                 List.iter
                   (fun s ->
-                    let t = Hashtbl.find cache (key s) in
+                    let t = Store.find cache (key s) in
                     tallies.(s) <- t;
                     progress
                       (Progress.Shard_done
@@ -599,9 +547,6 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
                 cr_progress_ci = wilson tally.t_trials tally.t_completed;
               }
         in
-        let finish () =
-          match append with Some oc -> close_out oc | None -> ()
-        in
         let result =
           try
             let cell_results = List.mapi run_cell cells in
@@ -634,7 +579,7 @@ let run ?(jobs = 1) ?chunk ?task_timeout ?(progress = Progress.null)
               Error ("campaign: worker pool failed: " ^ msg)
           | Failure msg -> Error ("campaign: " ^ msg)
         in
-        finish ();
+        Store.close cache;
         result
   end
 

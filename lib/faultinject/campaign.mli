@@ -128,6 +128,11 @@ val fingerprint : plan -> string
 (** The progress-file fingerprint: every plan field that determines a
     shard's tally (also stamped into telemetry run manifests). *)
 
+val progress_codec : (string * int * int * int, tally) Experiments.Store.codec
+(** The progress file's entry codec: [(cell label, shard, lo, hi)] to
+    the shard's tally, float sums as their IEEE bit patterns so a
+    replayed shard is bit-identical. *)
+
 val run :
   ?jobs:int ->
   ?chunk:int ->

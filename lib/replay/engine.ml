@@ -1,5 +1,5 @@
 (* Replay kernel. [load] reduces a trace file to sufficient statistics
-   in one pass; [exact] / [simulate] / [mrc] are then pure arithmetic
+   in one pass; [exact] / [simulate] are then pure arithmetic
    over those statistics, which is where the record-once /
    simulate-many speedup comes from. The full-stream [replay_metrics]
    path re-runs the Observe.Metrics sampler over the decoded events,
@@ -1125,36 +1125,6 @@ let simulate_many_collapsed l models =
       (Array.to_list out, !collapsed)
 
 let simulate_many l models = fst (simulate_many_collapsed l models)
-
-(* --- MRC --------------------------------------------------------------- *)
-
-let mrc l =
-  let r = Observe.Reuse.create () in
-  (match l.refs with
-  | Fn_refs a ->
-      Array.iter
-        (fun x ->
-          let u = x lsr 1 in
-          Observe.Reuse.access r ~unit_id:u ~bytes:(max 0 (unit_bytes l u));
-          if x land 1 = 1 then Observe.Reuse.note_measured_miss r)
-        a
-  | Line_refs a ->
-      (* The reuse tracker must see every access (repeat accesses are
-         distance-zero hits that shape the curve), so expand the runs. *)
-      let n = line_bytes l in
-      let len = Array.length a in
-      let i = ref 0 in
-      while !i < len do
-        let unit_id = a.(!i) in
-        for _ = 1 to a.(!i + 1) do
-          Observe.Reuse.access r ~unit_id ~bytes:n
-        done;
-        i := !i + 2
-      done;
-      for _ = 1 to l.runtime.rc_block_loads do
-        Observe.Reuse.note_measured_miss r
-      done);
-  r
 
 (* --- Full metrics replay ----------------------------------------------- *)
 

@@ -6,11 +6,11 @@
     FRAM contention count, runtime-event counters and the ordered
     cache-unit reference stream. Everything downstream is then
     arithmetic over those statistics: {!exact} retargets wait states
-    and frequency in O(1), {!simulate} runs a fully-associative cache
-    model over the reference stream (microseconds per configuration),
-    and {!mrc} rebuilds the exact Mattson miss-ratio curve. That
-    load-once / simulate-many split is what turns one multi-second
-    simulation into thousands of configuration evaluations.
+    and frequency in O(1), and {!simulate} runs a fully-associative
+    cache model over the reference stream (microseconds per
+    configuration). That load-once / simulate-many split is what turns
+    one multi-second simulation into thousands of configuration
+    evaluations.
 
     Exactness: at the recording configuration, {!exact} reproduces
     the executor's cycles, energy and every counter bit-for-bit
@@ -208,11 +208,6 @@ val simulate_runs_all_budgets :
     equals [List.map (fun b -> simulate_runs ~units ~budget:b
     ~policy:Lru runs) budgets] (property-tested). Same per-unit
     constant-[bytes] requirement as {!simulate_runs}. *)
-
-val mrc : loaded -> Observe.Reuse.t
-(** Rebuild the exact byte-LRU reuse tracker from the reference
-    stream — identical (same predicted curve, same measured-miss
-    cross-check) to the tracker an observed execution accumulates. *)
 
 (** {2 Full metrics replay} *)
 

@@ -201,7 +201,6 @@ let survives_worker_kill () =
 
 let with_progress_file f =
   let path = Filename.temp_file "campaign_progress" ".bin" in
-  Sys.remove path;
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)

@@ -20,4 +20,5 @@ let () =
       ("engine", Test_engine.suite);
       ("replay", Test_replay.suite);
       ("dse", Test_dse.suite);
+      ("store", Test_store.suite);
     ]

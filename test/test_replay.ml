@@ -468,8 +468,8 @@ let thrash_test () =
             sim.Engine.s_refs sim.Engine.s_misses)
         [ Engine.Lru; Engine.Lfu; Engine.Cost_aware ])
 
-(* The MRC rebuilt from the replayed stream must match the one the
-   live Observe.Reuse tracker measured during execution. *)
+(* The reuse tracker rebuilt by replaying the trace must match the one
+   the live Observe.Reuse tracker measured during execution. *)
 let mrc_identity_test () =
   with_temp_trace (fun trace ->
       let config = tiny_config () in
@@ -483,8 +483,11 @@ let mrc_identity_test () =
                 Option.get (Observe.Metrics.reuse_tracker m)
             | _ -> Alcotest.fail "metrics sampler was not attached"
           in
-          let l = Result.get_ok (Engine.load trace) in
-          let replayed = Engine.mrc l in
+          let replayed =
+            match Engine.replay_metrics trace with
+            | Ok (m, _) -> Option.get (Observe.Metrics.reuse_tracker m)
+            | Error e -> Alcotest.fail (Engine.error_message e)
+          in
           Alcotest.(check int)
             "accesses" (Observe.Reuse.accesses live)
             (Observe.Reuse.accesses replayed);
