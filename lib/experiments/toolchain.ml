@@ -656,10 +656,10 @@ let recording_header ?unit_context:uc config =
 
 (* Record a run into [trace]: prepare as usual (any ?observe stack
    attaches first), snapshot the unit context, then ride the trace
-   tap. Attaching an observer forces the cycle-identical reference
-   engine, so a recorded run's results equal an observed one's. The
-   file is completed only on a clean halt; crashed or non-fitting
-   runs leave no trace file behind. *)
+   tap. Observation is result-neutral under either engine, so a
+   recorded run's results equal an unobserved one's. The file is
+   completed only on a clean halt; crashed or non-fitting runs leave
+   no trace file behind. *)
 let run_recorded ?observe ~trace config =
   phase_span config "record" @@ fun () ->
   match prepare ?observe config with

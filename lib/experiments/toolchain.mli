@@ -136,10 +136,11 @@ val config_fingerprint : config -> int
 val run_recorded : ?observe:observe_spec -> trace:string -> config -> outcome
 (** [run] plus a {!Replay.Trace_file} recorder riding the trace tap:
     every counted event of the run lands in [trace], enriched with
-    the runtime-hook answers a replay needs. Recording attaches an
-    observer, which forces the cycle-identical reference engine, so
-    the returned result equals an observed run's. The trace file is
-    completed only on [Completed]; otherwise it is removed. *)
+    the runtime-hook answers a replay needs. The recording runs on
+    [config.engine]; both engines emit the same event stream, so the
+    file is byte-identical either way and the returned result equals
+    an unobserved run's. The trace file is completed only on
+    [Completed]; otherwise it is removed. *)
 
 val replay_mismatches : Replay.Engine.loaded -> result -> string list
 (** Check a loaded trace against the result of the run that recorded

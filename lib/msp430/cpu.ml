@@ -485,6 +485,15 @@ let exec_instr t pc0 instr =
       t.regs.(Isa.sr) <- pop_word t;
       t.regs.(Isa.pc) <- pop_word t
 
+(* The compiler's return idiom (MOV @SP+, PC) gives an attached
+   profiler the pop side of its shadow call stack. Every engine path
+   emits it after the instruction's unstalled cycles. *)
+let emit_return t instr =
+  match instr with
+  | Isa.I1 (Isa.MOV, Isa.W, Isa.Sinc 1, Isa.Dreg 0) ->
+      Trace.emit t.stats Trace.Return
+  | _ -> ()
+
 (* Execute one instruction (or one trap handler invocation). *)
 let step t =
   if t.halted then ()
@@ -507,12 +516,7 @@ let step t =
       t.regs.(Isa.pc) <- Word.add pc0 size;
       exec_instr t pc0 instr;
       Trace.add_unstalled t.stats (Cycles.of_instr instr);
-      (* The compiler's return idiom (MOV @SP+, PC) gives an attached
-         profiler the pop side of its shadow call stack. *)
-      (match instr with
-      | Isa.I1 (Isa.MOV, Isa.W, Isa.Sinc 1, Isa.Dreg 0) ->
-          Trace.emit t.stats Trace.Return
-      | _ -> ());
+      emit_return t instr;
       if Memory.halt_requested t.mem then t.halted <- true
     end
   end
@@ -537,9 +541,12 @@ let step t =
    aggregates stay exact mid-run, flushed before any escaping
    exception (power loss, machine fault) propagates.
 
-   The engine only runs when no observer and no tracer are attached;
-   observed runs take the reference loop, which emits every event in
-   the documented order. *)
+   With an observer attached, replay takes a separate observed loop
+   that emits every event [step] emits, in the same order: [Instr],
+   the word fetches through the emitting [Memory.read_word], and
+   per-instruction (unbatched) counters, because an observer may read
+   the aggregates at any event. Only a tracer forces the reference
+   loop. *)
 
 let max_block_len = 48
 
@@ -563,7 +570,8 @@ let sb_terminates instr =
    hold the words already fetched (counted); decode from them, fetch
    any further words the new encoding needs, and execute with the
    reference per-instruction accounting. Mirrors [decode_at]'s
-   mismatch path: no access is counted twice. *)
+   mismatch path: no access is counted twice. The caller has emitted
+   the instruction's [Instr] event before the first fetch. *)
 let sb_cold_exec t ipc have0 =
   let ws = t.sb_ws in
   let have = ref have0 in
@@ -584,6 +592,7 @@ let sb_cold_exec t ipc have0 =
   t.regs.(Isa.pc) <- Word.add ipc size;
   exec_instr t ipc instr;
   Trace.add_unstalled t.stats (Cycles.of_instr instr);
+  emit_return t instr;
   if Memory.halt_requested t.mem then t.halted <- true
 
 (* Record a fresh superblock starting at [pc0] by executing up to
@@ -608,6 +617,9 @@ let sb_record t pc0 fuel =
      while (not !stop) && !used < fuel && !nrec < max_block_len do
        let ipc = !cur_pc in
        Memory.begin_instruction t.mem;
+       let source = t.classify ipc in
+       if Trace.has_observer t.stats then
+         Trace.emit t.stats (Trace.Instr { pc = ipc; source });
        let words = Array.make 3 0 in
        let nw = ref 0 in
        let fetch addr =
@@ -619,11 +631,11 @@ let sb_record t pc0 fuel =
          w
        in
        let instr, size = decode_at t fetch ipc in
-       let source = t.classify ipc in
        Trace.count_instr t.stats source;
        t.regs.(Isa.pc) <- Word.add ipc size;
        exec_instr t ipc instr;
        Trace.add_unstalled t.stats (Cycles.of_instr instr);
+       emit_return t instr;
        incr used;
        let fetch_kind =
          let map = Memory.map t.mem in
@@ -759,18 +771,65 @@ let rec sb_replay_loop t instrs n slot i fuel =
     end
   end
 
+(* [sb_validate_ext] for the observed loop: every fetch goes through
+   [Memory.read_word], which emits the access and its stall cycles. *)
+let rec sb_validate_ext_observed t si k ok =
+  if k >= si.si_nwords then ok
+  else begin
+    let a = si.si_pc + (2 * k) in
+    let w = Memory.read_word t.mem ~purpose:Memory.Ifetch a in
+    t.sb_ws.(k) <- w;
+    sb_validate_ext_observed t si (k + 1) (ok && w = si.si_words.(k))
+  end
+
+(* The replay loop with an observer attached: the events and counter
+   updates of [step], in [step]'s order, with decode, classification
+   and pricing still taken from the records. *)
+let rec sb_replay_observed_loop t instrs n slot i fuel =
+  if i >= n || fuel <= 0 then ()
+  else begin
+    let si = Array.unsafe_get instrs i in
+    Memory.begin_instruction t.mem;
+    Trace.emit t.stats (Trace.Instr { pc = si.si_pc; source = si.si_source });
+    let w0 = Memory.read_word t.mem ~purpose:Memory.Ifetch si.si_pc in
+    let first_ok = w0 = Array.unsafe_get si.si_words 0 in
+    if first_ok && sb_validate_ext_observed t si 1 true then begin
+      Trace.count_instr t.stats si.si_source;
+      t.sb_used <- t.sb_used + 1;
+      t.regs.(Isa.pc) <- Word.add si.si_pc si.si_size;
+      exec_instr t si.si_pc si.si_instr;
+      Trace.add_unstalled t.stats si.si_cycles;
+      emit_return t si.si_instr;
+      if Memory.halt_requested t.mem then t.halted <- true
+      else sb_replay_observed_loop t instrs n slot (i + 1) (fuel - 1)
+    end
+    else begin
+      (* Same fallback as [sb_replay_loop]: a matching first word means
+         every extension word is already fetched. *)
+      t.sb_ws.(0) <- w0;
+      sb_cold_exec t si.si_pc (if first_ok then si.si_nwords else 1);
+      t.sblocks.(slot) <- None;
+      t.sb_used <- t.sb_used + 1
+    end
+  end
+
 (* Replay the cached superblock, executing at most [fuel]
    instructions. Per instruction: validate the recorded words with
    counted fetches (the exact [decode_at] pattern), batch the
-   instruction/cycle counters, execute. Returns the number of
-   instructions executed. *)
+   instruction/cycle counters, execute. The loop is chosen once per
+   block: the observed one when an observer is attached. Returns the
+   number of instructions executed. *)
 let sb_replay t blk fuel =
   let instrs = blk.sb_instrs in
   t.sb_cycles_acc <- 0;
   t.sb_icount <- 0;
   t.sb_used <- 0;
   let slot = (instrs.(0).si_pc land 0xFFFF) lsr 1 in
-  (try sb_replay_loop t instrs (Array.length instrs) slot 0 fuel
+  let n = Array.length instrs in
+  (try
+     if Trace.has_observer t.stats then
+       sb_replay_observed_loop t instrs n slot 0 fuel
+     else sb_replay_loop t instrs n slot 0 fuel
    with e ->
      sb_flush t;
      raise e);
@@ -815,11 +874,12 @@ let outcome_name = function
    crashes the host program.
 
    Dispatches between the two engines: the reference step loop, and
-   the superblock engine when selected and nothing is observing (an
-   attached observer or tracer must see per-instruction events in the
-   documented order, which only the reference loop produces). Both
-   charge one fuel unit per instruction or trap invocation and yield
-   identical counters, memory and register state. *)
+   the superblock engine when selected and no tracer is attached (the
+   tracer's callback receives a decoded instruction, which only [step]
+   produces). Observed runs take either engine with the same event
+   stream. Both charge one fuel unit per instruction or trap
+   invocation and yield identical counters, memory and register
+   state. *)
 let run ?(fuel = max_int) t =
   let rec ref_loop fuel =
     if t.halted then Halted
@@ -850,11 +910,7 @@ let run ?(fuel = max_int) t =
       end
     end
   in
-  let use_superblock =
-    t.engine = Superblock
-    && (not (Trace.has_observer t.stats))
-    && t.tracer = None
-  in
+  let use_superblock = t.engine = Superblock && t.tracer = None in
   let faulted msg = Faulted { fault_pc = t.regs.(Isa.pc); fault_msg = msg } in
   try if use_superblock then sb_loop fuel else ref_loop fuel with
   | Memory.Power_loss -> Power_lost

@@ -29,9 +29,11 @@ val flag_v : int
     power-failure timing are bit-identical to the reference engine;
     code rewritten under the cache (SRAM copy-in, outage wipes,
     self-modifying code) is caught by the word comparison and falls
-    back to a cold decode. The superblock engine only engages when no
-    observer and no tracer are attached; observed runs always take the
-    reference loop so the event stream is complete and ordered. *)
+    back to a cold decode. Observed runs use the superblock engine
+    too: with an observer attached, replay emits the same events in the
+    same order as the reference loop, with per-instruction counters.
+    Only an attached tracer ({!set_tracer}) forces the reference
+    loop. *)
 type engine = Reference | Superblock
 
 val create : Memory.t -> t

@@ -170,6 +170,15 @@ let periph_write t addr v =
   else if addr land 0xFFFE = halt_addr then t.halt_requested <- true
   else if addr land 0xFFFE = fault_addr then fault "software fault, code 0x%04X" v
 
+(* The access classes of a read, shared rather than built per
+   observed access. *)
+let cls_fram_read_hit = Trace.Fram_read { hit = true; ifetch = false }
+let cls_fram_read_miss = Trace.Fram_read { hit = false; ifetch = false }
+let cls_fram_ifetch_hit = Trace.Fram_read { hit = true; ifetch = true }
+let cls_fram_ifetch_miss = Trace.Fram_read { hit = false; ifetch = true }
+let cls_sram_read = Trace.Sram_read { ifetch = false }
+let cls_sram_ifetch = Trace.Sram_read { ifetch = true }
+
 (* Counted read of [width] (1 or 2) bytes. Word access is aligned
    (checked), so the two bytes are contiguous and little-endian — a
    direct 16-bit load, with no wraparound to worry about. *)
@@ -189,7 +198,13 @@ let read t ~purpose ~width addr =
       if Trace.has_observer t.stats then
         Trace.emit t.stats
           (Trace.Mem_access
-             { addr; cls = Trace.Sram_read { ifetch = purpose = Ifetch } })
+             {
+               addr;
+               cls =
+                 (match purpose with
+                 | Ifetch -> cls_sram_ifetch
+                 | Data -> cls_sram_read);
+             })
   | Fram ->
       let hit = Hwcache.read t.cache addr in
       if hit then t.stats.Trace.fram_read_hits <- t.stats.Trace.fram_read_hits + 1;
@@ -199,7 +214,15 @@ let read t ~purpose ~width addr =
       if Trace.has_observer t.stats then
         Trace.emit t.stats
           (Trace.Mem_access
-             { addr; cls = Trace.Fram_read { hit; ifetch = purpose = Ifetch } });
+             {
+               addr;
+               cls =
+                 (match (purpose, hit) with
+                 | Ifetch, true -> cls_fram_ifetch_hit
+                 | Ifetch, false -> cls_fram_ifetch_miss
+                 | Data, true -> cls_fram_read_hit
+                 | Data, false -> cls_fram_read_miss);
+             });
       charge_fram_timing t ~is_read_hit:hit
   | Peripheral ->
       t.stats.Trace.periph_accesses <- t.stats.Trace.periph_accesses + 1;
@@ -242,9 +265,10 @@ let write_word t addr v = write t ~width:2 addr v
 let write_byte t addr v = write t ~width:1 addr v
 
 (* Specialized counted instruction-word fetches for the superblock
-   replay path. The caller guarantees: the address is even, its region
-   was established at record time (so no dispatch is needed), and no
-   observer is attached (so no event is due). Counters, stalls,
+   replay path. The caller guarantees that the address is even and
+   that its region was established at record time (so no dispatch is
+   needed). They emit no event: the observed replay loop fetches
+   through [read_word] instead. Counters, stalls,
    read-cache state and the power clock advance bit-identically to
    [read ~purpose:Ifetch ~width:2], including the {!Power_loss} raise
    point before the access takes effect. *)

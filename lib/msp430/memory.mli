@@ -105,6 +105,7 @@ val fetch_word_sram : t -> int -> int
 val fetch_word_fram : t -> int -> int
 (** Specialized counted instruction-word fetches for the superblock
     replay path. Caller guarantees: even address, region established
-    at record time, no observer attached. Counters, stalls, read-cache
-    state and the power clock advance bit-identically to
-    [read ~purpose:Ifetch ~width:2]. *)
+    at record time. They emit no event, so the unobserved replay loop
+    uses them and the observed one fetches through {!read_word}.
+    Counters, stalls, read-cache state and the power clock advance
+    bit-identically to [read ~purpose:Ifetch ~width:2]. *)

@@ -125,11 +125,15 @@ let has_observer t = match t.observer with None -> false | Some _ -> true
 let emit t ev = match t.observer with None -> () | Some f -> f ev
 
 (* All cycle accrual funnels through these two so the observer sees
-   every cycle exactly once, attributed to the current context. *)
+   every cycle exactly once, attributed to the current context. The
+   common single-cycle accrual shares one event value. *)
+let one_unstalled = Cycles { unstalled = 1; stall = 0 }
+
 let add_unstalled t n =
   t.unstalled_cycles <- t.unstalled_cycles + n;
   match t.observer with
-  | Some f when n <> 0 -> f (Cycles { unstalled = n; stall = 0 })
+  | Some f when n <> 0 ->
+      f (if n = 1 then one_unstalled else Cycles { unstalled = n; stall = 0 })
   | _ -> ()
 
 let add_stall t n =

@@ -369,16 +369,64 @@ let discard_writer w =
 
 type decoded = { d_ev : Trace.event; d_unit : int option; d_home : int }
 
-type cursor = { data : string; mutable pos : int }
+(* Streaming cursor: a fixed window over the file, refilled from the
+   channel as the decoder advances, so reading a trace costs the same
+   memory whatever its length. [base] is the file offset of
+   [buf.[0]]; [size] is the file length, which bounds every length
+   field before anything is allocated for it. *)
+type cursor = {
+  ic : in_channel;
+  buf : Bytes.t;
+  size : int;
+  mutable base : int;
+  mutable len : int; (* valid bytes in [buf] *)
+  mutable pos : int; (* next byte in [buf] *)
+}
+
+let window = 1 lsl 16
 
 let truncated what = raise (Decode (Truncated what))
 
+let open_cursor ic =
+  {
+    ic;
+    buf = Bytes.create window;
+    size = in_channel_length ic;
+    base = 0;
+    len = 0;
+    pos = 0;
+  }
+
+(* Bytes of the file not yet consumed. *)
+let remaining c = c.size - (c.base + c.pos)
+
+let refill c what =
+  c.base <- c.base + c.len;
+  c.len <- input c.ic c.buf 0 window;
+  c.pos <- 0;
+  if c.len = 0 then truncated what
+
 let byte c what =
-  if c.pos >= String.length c.data then truncated what;
-  (* The explicit truncation check above already bounds [pos]. *)
-  let b = Char.code (String.unsafe_get c.data c.pos) in
+  if c.pos >= c.len then refill c what;
+  (* [refill] leaves [pos < len] or raises. *)
+  let b = Char.code (Bytes.unsafe_get c.buf c.pos) in
   c.pos <- c.pos + 1;
   b
+
+(* [n] bytes as a string; the caller has checked [n <= remaining c]. *)
+let read_string c n what =
+  let s = Bytes.create n in
+  let rec copy off =
+    if off < n then begin
+      if c.pos >= c.len then refill c what;
+      let k = min (n - off) (c.len - c.pos) in
+      Bytes.blit c.buf c.pos s off k;
+      c.pos <- c.pos + k;
+      copy (off + k)
+    end
+  in
+  copy 0;
+  Bytes.unsafe_to_string s
 
 (* Top-level recursion, not an inner [go] closure: a closure here would
    be allocated on every call, i.e. once or twice per event on the hot
@@ -401,16 +449,22 @@ let source_of_index i =
   | 3 -> Trace.Memcpy
   | _ -> corrupt "bad source index %d" i
 
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Open [path], decode it with [f] over a fresh cursor, close. Decode
+   failures and I/O errors both come back as a typed [error]. *)
+let with_cursor path f =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> f (open_cursor ic))
+  with
+  | result -> Ok result
+  | exception Decode e -> Error e
+  | exception Sys_error msg -> Error (Corrupt msg)
 
 let decode_preamble c =
-  if String.length c.data < 4 then raise (Decode Bad_magic);
-  if String.sub c.data 0 4 <> magic then raise (Decode Bad_magic);
-  c.pos <- 4;
+  if c.size < 4 then raise (Decode Bad_magic);
+  if read_string c 4 "magic" <> magic then raise (Decode Bad_magic);
   let v0 = byte c "version" in
   let v1 = byte c "version" in
   let found = v0 lor (v1 lsl 8) in
@@ -421,21 +475,13 @@ let decode_preamble c =
   let l2 = byte c "header length" in
   let l3 = byte c "header length" in
   let len = l0 lor (l1 lsl 8) lor (l2 lsl 16) lor (l3 lsl 24) in
-  if c.pos + len > String.length c.data then truncated "header";
-  let hdr = String.sub c.data c.pos len in
-  c.pos <- c.pos + len;
+  if len > remaining c then truncated "header";
+  let hdr = read_string c len "header" in
   match Json.parse hdr with
   | Error msg -> corrupt "header JSON: %s" msg
   | Ok j -> header_of_json j
 
-let read_header path =
-  match
-    let c = { data = load_file path; pos = 0 } in
-    decode_preamble c
-  with
-  | h -> Ok h
-  | exception Decode e -> Error e
-  | exception Sys_error msg -> Error (Corrupt msg)
+let read_header path = with_cursor path decode_preamble
 
 (* Growable string table; ids are sequential so an array suffices. *)
 type strings = { mutable tbl : string array; mutable n : int }
@@ -483,8 +529,7 @@ type visitor = {
 }
 
 let iter path ~make =
-  match
-    let c = { data = load_file path; pos = 0 } in
+  with_cursor path (fun c ->
     let header = decode_preamble c in
     let v = make header in
     let strings = { tbl = [||]; n = 0 } in
@@ -561,28 +606,23 @@ let iter path ~make =
           let declared = read_varint c "end marker" in
           if declared <> !count then
             corrupt "end marker declares %d events, decoded %d" declared !count;
-          if c.pos <> String.length c.data then
-            corrupt "%d trailing bytes after end marker"
-              (String.length c.data - c.pos);
+          if remaining c <> 0 then
+            corrupt "%d trailing bytes after end marker" (remaining c);
           finished := true
         end
         else if tag = tag_string_def then begin
           let len = read_varint c "string definition" in
-          if c.pos + len > String.length c.data then
-            truncated "string definition";
-          let s = String.sub c.data c.pos len in
-          c.pos <- c.pos + len;
+          if len < 0 || len > Sys.max_string_length then
+            corrupt "string definition length %d" len;
+          if len > remaining c then truncated "string definition";
+          let s = read_string c len "string definition" in
           let id = read_varint c "string definition" in
           intern_define strings s id
         end
         else corrupt "unknown tag 0x%02X" tag
       end
     done;
-    (header, !count)
-  with
-  | result -> Ok result
-  | exception Decode e -> Error e
-  | exception Sys_error msg -> Error (Corrupt msg)
+    (header, !count))
 
 let fold path ~init ~f =
   let acc = ref None in

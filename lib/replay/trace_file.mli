@@ -102,7 +102,8 @@ type decoded = {
 }
 
 val read_header : string -> (header, error) result
-(** Decode just the header (cheap; does not touch the event stream). *)
+(** Decode just the header: reads the preamble and nothing of the
+    event stream. *)
 
 (** Flat per-event callbacks for [iter]. The decode loop calls these
     directly without materializing [Trace.event] values, so a visitor
@@ -137,8 +138,10 @@ type visitor = {
 val iter : string -> make:(header -> visitor) -> (header * int, error) result
 (** [iter path ~make] decodes the header, builds a visitor from it and
     streams every event through the visitor's callbacks in recording
-    order. Returns the header and event count; same error conditions
-    as {!fold} (which is a wrapper over this loop). *)
+    order. The file is read through a fixed 64 KiB window, so memory
+    use does not grow with the trace. Returns the header and event
+    count; same error conditions as {!fold} (which is a wrapper over
+    this loop). *)
 
 val fold :
   string ->

@@ -202,9 +202,9 @@ let crash_differential () =
 
 (* --- Observed runs ----------------------------------------------------- *)
 
-(* Observation forces the reference step loop, so an observed run
-   under either engine setting must be identical — including the
-   retained trace-event sequence, compared via the Chrome export. *)
+(* Both engines emit the observer stream: an observed run under
+   either engine must be identical — including the retained
+   trace-event sequence, compared via the Chrome export. *)
 let observed_differential () =
   let config =
     {
@@ -231,6 +231,60 @@ let observed_differential () =
     | None -> Alcotest.fail "event ring was not attached"
   in
   Alcotest.(check string) "trace-event sequence" (events r) (events s)
+
+(* The recorded trace is the whole observer stream with its runtime
+   hook answers, so equal files mean equal events, order, payloads and
+   enrichments. Files are compared in chunks: aes/block records tens of
+   megabytes. *)
+let same_file a b =
+  In_channel.with_open_bin a @@ fun ia ->
+  In_channel.with_open_bin b @@ fun ib ->
+  let n = in_channel_length ia in
+  let rec go pos =
+    pos >= n
+    ||
+    let k = min (1 lsl 16) (n - pos) in
+    String.equal (really_input_string ia k) (really_input_string ib k)
+    && go (pos + k)
+  in
+  n = in_channel_length ib && go 0
+
+let recorded_trace_failures (b, (name, sys)) =
+  let config = { (T.default_config b) with T.caching = caching_of sys } in
+  let record engine =
+    let path = Filename.temp_file "engine-test-" ".trace" in
+    match T.run_recorded ~trace:path { config with T.engine } with
+    | T.Completed _ -> Some path
+    | T.Did_not_fit _ | T.Crashed _ ->
+        (try Sys.remove path with Sys_error _ -> ());
+        None
+  in
+  let r = record Cpu.Reference and s = record Cpu.Superblock in
+  let what = Printf.sprintf "%s/%s" b.Workloads.Bench_def.name name in
+  let fails =
+    match (r, s) with
+    | Some r, Some s ->
+        if same_file r s then [] else [ what ^ ": traces differ" ]
+    | None, None -> []
+    | _ -> [ what ^ ": recorded under one engine only" ]
+  in
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    (List.filter_map Fun.id [ r; s ]);
+  fails
+
+let recorded_trace_differential () =
+  let cells =
+    List.concat_map
+      (fun b -> [ (b, ("swapram", `Swapram)); (b, ("block", `Block)) ])
+      Workloads.Suite.[ crc; aes; bitcount; rc4 ]
+  in
+  let fails =
+    Experiments.Parallel.map ~jobs:(Experiments.Parallel.ncores ())
+      recorded_trace_failures cells
+    |> List.concat
+  in
+  if fails <> [] then Alcotest.failf "%s" (String.concat "\n" fails)
 
 (* --- Parallel driver --------------------------------------------------- *)
 
@@ -290,6 +344,8 @@ let suite =
         crash_differential;
       Alcotest.test_case "engines agree: observed runs" `Quick
         observed_differential;
+      Alcotest.test_case "engines agree: recorded trace bytes" `Slow
+        recorded_trace_differential;
       Alcotest.test_case "parallel sweep merges to serial result" `Quick
         parallel_sweep_matches_serial;
       Alcotest.test_case "parallel report = serial report" `Slow
