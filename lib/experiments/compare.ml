@@ -217,11 +217,11 @@ let compare_json ?(thresholds = default_thresholds) ~old_report ~new_report ()
 let read_file path =
   match open_in_bin path with
   | exception Sys_error e -> Error e
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
+  | ic -> (
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      match In_channel.input_all ic with
+      | s -> Ok s
+      | exception Sys_error e -> Error (path ^ ": " ^ e))
 
 let compare_files ?thresholds old_path new_path =
   match (read_file old_path, read_file new_path) with

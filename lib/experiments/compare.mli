@@ -34,6 +34,10 @@ val compare_json :
   unit ->
   outcome
 
+val read_file : string -> (string, string) result
+(** The whole file; [Error] names the path when it cannot be opened or
+    read (a directory, say). *)
+
 val compare_files :
   ?thresholds:(string * float) list ->
   string ->

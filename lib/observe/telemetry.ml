@@ -261,29 +261,33 @@ let record_of_line line =
 let read_file path =
   match open_in path with
   | exception Sys_error e -> Error ("telemetry: " ^ e)
-  | ic ->
+  | ic -> (
       let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let lines = List.rev !lines in
-      let n = List.length lines in
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest when String.trim line = "" -> go (i + 1) acc rest
-        | line :: rest -> (
-            match record_of_line line with
-            | Ok r -> go (i + 1) (r :: acc) rest
-            | Error _ when i = n - 1 ->
-                (* torn trailing line: the writer was killed mid-append *)
-                Ok (List.rev acc)
-            | Error e ->
-                Error (Printf.sprintf "%s:%d: %s" path (i + 1) e))
+      let read () =
+        try
+          while true do
+            lines := input_line ic :: !lines
+          done
+        with End_of_file -> ()
       in
-      go 0 [] lines
+      match Fun.protect ~finally:(fun () -> close_in_noerr ic) read with
+      | exception Sys_error e -> Error ("telemetry: " ^ path ^ ": " ^ e)
+      | () ->
+          let lines = List.rev !lines in
+          let n = List.length lines in
+          let rec go i acc = function
+            | [] -> Ok (List.rev acc)
+            | line :: rest when String.trim line = "" -> go (i + 1) acc rest
+            | line :: rest -> (
+                match record_of_line line with
+                | Ok r -> go (i + 1) (r :: acc) rest
+                | Error _ when i = n - 1 ->
+                    (* torn trailing line: the writer was killed mid-append *)
+                    Ok (List.rev acc)
+                | Error e ->
+                    Error (Printf.sprintf "%s:%d: %s" path (i + 1) e))
+          in
+          go 0 [] lines)
 
 (* --- Chrome timeline exporter ------------------------------------------ *)
 

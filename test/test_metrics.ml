@@ -209,6 +209,58 @@ let prop_json_roundtrip_pretty =
       | Ok v' -> v' = v
       | Error e -> QCheck2.Test.fail_reportf "parse error: %s" e)
 
+(* Byte mutations of a real report: the committed baseline. A cut is
+   a strict prefix of an object document, so it is a typed Error, or
+   the identical value when only trailing whitespace was cut. A flipped
+   byte may still spell a valid document (a digit inside a number, a
+   letter inside a string), so it must only decode or fail with a typed
+   Error. Neither may raise. *)
+let baseline =
+  lazy
+    (let doc =
+       In_channel.with_open_bin "../bench/baseline.json" In_channel.input_all
+     in
+     match Json.parse doc with
+     | Ok v -> (doc, v)
+     | Error e -> Alcotest.fail ("baseline: " ^ e))
+
+let prop_json_mutation =
+  QCheck2.Test.make ~count:300
+    ~name:"every cut or flipped byte of a report is a typed error or decodes"
+    QCheck2.Gen.(pair (0 -- 1_000_000_000) (1 -- 255))
+    (fun (pos, mask) ->
+      let doc, original = Lazy.force baseline in
+      let n = String.length doc in
+      let i = pos mod n in
+      let parse what s =
+        match Json.parse s with
+        | r -> r
+        | exception e ->
+            QCheck2.Test.fail_reportf "%s at %d raised %s" what i
+              (Printexc.to_string e)
+      in
+      (match parse "cut" (String.sub doc 0 i) with
+      | Error _ -> ()
+      | Ok v when v = original && String.trim (String.sub doc i (n - i)) = "" -> ()
+      | Ok _ -> QCheck2.Test.fail_reportf "cut at %d decoded to another value" i);
+      let flipped = Bytes.of_string doc in
+      Bytes.set flipped i (Char.chr (Char.code doc.[i] lxor mask));
+      ignore (parse "flip" (Bytes.to_string flipped));
+      true)
+
+(* The gate's reader turns an unreadable path into a typed Error. *)
+let compare_reads_directory_as_error () =
+  let dir = Filename.temp_dir "compare" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      (match Experiments.Compare.read_file dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "read_file: a directory must be an Error");
+      match Experiments.Compare.compare_files dir dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "compare_files: a directory must be an Error")
+
 (* --- Deterministic checks: MRC agreement and the perf gate ------------- *)
 
 let swapram_run bench =
@@ -391,4 +443,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_energy_split;
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_json_roundtrip_pretty;
+      QCheck_alcotest.to_alcotest prop_json_mutation;
+      Alcotest.test_case "compare: a directory is a read error" `Quick
+        compare_reads_directory_as_error;
     ]

@@ -96,6 +96,79 @@ let read_file_drops_torn_tail () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "interior corruption must not parse")
 
+let read_file_of_directory_is_error () =
+  let dir = Filename.temp_dir "telemetry" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      match Tel.read_file dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a directory must be an Error")
+
+(* Byte mutations of a ledger recorded around a real run. Any cut
+   reads as the records before it (a torn tail is dropped). A flipped
+   byte reads as a typed Error, or as the recorded records with at most
+   one of them changed and the torn tail dropped. Neither may raise. *)
+let prop_ledger_mutation =
+  QCheck2.Test.make ~count:3
+    ~name:"every cut or flipped byte of a ledger is a typed error or decodes"
+    QCheck2.Gen.(1 -- 255)
+    (fun mask ->
+      let path = Filename.temp_file "telemetry" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          (match Tel.enable path with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail ("enable: " ^ e));
+          Tel.manifest [ ("tool", Json.String "test") ];
+          Fun.protect ~finally:Tel.disable (fun () ->
+              ignore
+                (T.run
+                   {
+                     (T.default_config Workloads.Suite.journal) with
+                     T.caching = T.Swapram_cache Swapram.Config.default_options;
+                   });
+              Tel.counter "cells" 1);
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          let read what i data =
+            Out_channel.with_open_bin path (fun oc -> output_string oc data);
+            match Tel.read_file path with
+            | r -> r
+            | exception e ->
+                QCheck2.Test.fail_reportf "%s at %d raised %s" what i
+                  (Printexc.to_string e)
+          in
+          let records =
+            match read "original" 0 bytes with
+            | Ok rs -> rs
+            | Error e -> QCheck2.Test.fail_reportf "original: %s" e
+          in
+          let rec changed a b =
+            match (a, b) with
+            | x :: a, y :: b -> (if x = y then 0 else 1) + changed a b
+            | _ -> 0
+          in
+          let is_prefix rs =
+            List.length rs <= List.length records && changed rs records = 0
+          in
+          for i = 0 to String.length bytes - 1 do
+            (match read "cut" i (String.sub bytes 0 i) with
+            | Ok rs when is_prefix rs -> ()
+            | Ok _ -> QCheck2.Test.fail_reportf "cut at %d: not a prefix" i
+            | Error e -> QCheck2.Test.fail_reportf "cut at %d: %s" i e);
+            let flipped = Bytes.of_string bytes in
+            Bytes.set flipped i (Char.chr (Char.code bytes.[i] lxor mask));
+            match read "flip" i (Bytes.to_string flipped) with
+            | Error _ -> ()
+            | Ok rs ->
+                if
+                  List.length rs > List.length records
+                  || changed rs records > 1
+                then QCheck2.Test.fail_reportf "flip at %d: records changed" i
+          done;
+          true))
+
 (* --- campaign fixtures ----------------------------------------- *)
 
 let tiny_plan =
@@ -314,4 +387,7 @@ let suite =
       dashboard_sink_redraws_with_ansi;
     Alcotest.test_case "auto picks plain off a TTY" `Quick
       auto_sink_picks_plain_off_tty;
+    Alcotest.test_case "read_file of a directory is an Error" `Quick
+      read_file_of_directory_is_error;
+    QCheck_alcotest.to_alcotest prop_ledger_mutation;
   ]
